@@ -1,6 +1,7 @@
 #include "sched/types.h"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 
 #include "util/check.h"
@@ -13,6 +14,8 @@ Instance::Instance(std::vector<Task> tasks, std::vector<Machine> machines,
       machines_(std::move(machines)),
       energyBudget_(energyBudget) {
   DSCT_CHECK_MSG(!machines_.empty(), "instance needs at least one machine");
+  DSCT_CHECK_MSG(std::isfinite(energyBudget_),
+                 "energy budget must be finite, got " << energyBudget_);
   DSCT_CHECK_MSG(energyBudget_ >= 0.0, "negative energy budget");
   for (const Machine& m : machines_) {
     DSCT_CHECK_MSG(m.speed > 0.0, "machine speed must be positive");

@@ -27,24 +27,6 @@
 
 namespace dsct::sim {
 
-const char* toString(Policy policy) {
-  switch (policy) {
-    case Policy::kApprox: return "DSCT-EA-Approx";
-    case Policy::kEdfNoCompression: return "EDF-NoCompression";
-    case Policy::kEdfLevels: return "EDF-3CompressionLevels";
-  }
-  return "unknown";
-}
-
-const char* policyName(Policy policy) {
-  switch (policy) {
-    case Policy::kApprox: return "approx";
-    case Policy::kEdfNoCompression: return "edf";
-    case Policy::kEdfLevels: return "edf3";
-  }
-  return "unknown";
-}
-
 const char* toString(IncidentKind kind) {
   switch (kind) {
     case IncidentKind::kPolicyFailure: return "policy-failure";
@@ -83,6 +65,11 @@ ServingStats runServingImpl(
     const std::function<double(double, double)>& budgetFor) {
   DSCT_CHECK(!machines.empty());
   DSCT_CHECK(options.epochSeconds > 0.0);
+  DSCT_CHECK_MSG(
+      std::isfinite(options.horizonSeconds) && options.horizonSeconds > 0.0,
+      "horizonSeconds must be finite and > 0, got " << options.horizonSeconds);
+  DSCT_CHECK_MSG(options.shards >= 0,
+                 "shards must be >= 0, got " << options.shards);
   const bool hasRequestTrace = !options.requestTrace.empty();
   if (hasRequestTrace) {
     DSCT_CHECK_MSG(options.arrivalTimes.empty(),
@@ -190,16 +177,14 @@ ServingStats runServingImpl(
     chain.push_back(&resolveServingSolver(name));
   }
 
-  // Cache/pool demand is capability-driven: the chain only contributes in
-  // guarded runs (it is never consulted otherwise), which keeps unguarded
+  // Cache/warm-slot demand is capability-driven: the chain only contributes
+  // in guarded runs (it is never consulted otherwise), which keeps unguarded
   // runs bit-identical to the pre-registry driver for every policy.
   bool wantsCache = primary.capabilities().usesProfileCache;
-  bool wantsPool = primary.capabilities().usesThreadPool;
   bool wantsLpWarm = primary.capabilities().usesLpWarmStart;
   if (guarded) {
     for (const Solver* fb : chain) {
       wantsCache = wantsCache || fb->capabilities().usesProfileCache;
-      wantsPool = wantsPool || fb->capabilities().usesThreadPool;
       wantsLpWarm = wantsLpWarm || fb->capabilities().usesLpWarmStart;
     }
   }
@@ -209,65 +194,38 @@ ServingStats runServingImpl(
   // backlog, fallback re-solves) reuse earlier FR-OPT evaluations instead of
   // solving cold; any change to the epoch instance changes the fingerprint.
   std::optional<ProfileCache> crossCache;
-  if (options.crossSolveCache && wantsCache) {
-    crossCache.emplace();
-  }
-  // Worker pool for the parallel cached evaluation path, carried across the
-  // run's epochs like the cache. Results are bit-identical with or without
-  // it — the pool only changes where the work runs.
+  if (wantsCache) crossCache.emplace();
+  // Sharded runs get a worker pool of hardware-concurrency threads: the
+  // coordinator fans the per-cell solves out on it (cells run their own
+  // fan-outs inline on the workers). Pool placement never changes results —
+  // reductions are index-ordered.
   std::unique_ptr<ThreadPool> solverPool;
-  // Sharded runs always get a pool: the coordinator fans the per-cell
-  // solves out on it (cells run their own fan-outs inline on the workers).
-  // Pool placement never changes results — reductions are index-ordered.
-  if ((options.parallelCachedEval && wantsPool) || shardedPrimary != nullptr) {
-    solverPool = std::make_unique<ThreadPool>(options.solverThreads);
-  }
+  if (shardedPrimary != nullptr) solverPool = std::make_unique<ThreadPool>(0);
   // Cross-epoch LP warm-start slot, carried like the cache: one epoch's
   // optimal basis seeds the next epoch's LP when the instance structure
   // matches. The driver drains every background solve before starting the
   // next, so the slot is never touched by two solves at once.
   std::optional<LpWarmStartSlot> lpWarmSlot;
-  if (options.lpWarmStarts && wantsLpWarm) lpWarmSlot.emplace();
-  // LP telemetry summed over every solve of the run (primary, fallback, and
-  // async alike); folded into ServingStats at the end.
-  lp::LpCounters lpTotals;
-  const auto noteLp = [&lpTotals](const SolveOutcome& outcome) {
-    lpTotals.add(outcome.lpCounters);
-  };
+  if (wantsLpWarm) lpWarmSlot.emplace();
   SolveContext solveCtx;
   solveCtx.frOpt.sharedCache = crossCache ? &*crossCache : nullptr;
   solveCtx.frOpt.pool = solverPool.get();
-  solveCtx.frOpt.parallelCachedEval = options.parallelCachedEval;
   solveCtx.lpWarm = lpWarmSlot ? &*lpWarmSlot : nullptr;
   // Per-epoch availability hints, refilled before each epoch's solves and
   // handed only to capability-gated solvers. Declared at driver scope so the
   // async pipeline's context can point at it across the submission.
   AvailabilityHints epochHints;
-  const auto applyAvailability = [&](SolveContext& ctx, const Solver& solver) {
+  // The context of one solve: the run's shared resources, `token` (null
+  // means never cancel), and the epoch's availability hints when `solver`
+  // honours them.
+  const auto contextFor = [&](const Solver& solver, const CancelToken* token) {
+    SolveContext ctx = solveCtx;
+    ctx.cancel = token;
     if (!epochHints.machineEnergyCaps.empty() &&
         solver.capabilities().availabilityAware) {
       ctx.availability = &epochHints;
     }
-  };
-  const auto scheduleEpoch = [&](const Solver& solver, const Instance& inst) {
-    SolveContext ctx = solveCtx;
-    applyAvailability(ctx, solver);
-    SolveOutcome outcome = solver.solve(inst, ctx);
-    noteLp(outcome);
-    DSCT_CHECK_MSG(outcome.schedule.has_value(),
-                   "solver '" << solver.name()
-                              << "' returned no integral schedule");
-    return std::move(*outcome.schedule);
-  };
-  // Same solve with a cancel token threaded through the context; the shared
-  // resources (cache, pool) are untouched, so a null token is bit-identical
-  // to scheduleEpoch's solve.
-  const auto solveWithCancel = [&](const Solver& solver, const Instance& inst,
-                                   const CancelToken* token) {
-    SolveContext ctx = solveCtx;
-    ctx.cancel = token;
-    applyAvailability(ctx, solver);
-    return solver.solve(inst, ctx);
+    return ctx;
   };
 
   const auto nowSeconds = [&options]() {
@@ -343,6 +301,56 @@ ServingStats runServingImpl(
     }
   };
 
+  // LP telemetry summed over every solve of the run (primary, fallback, and
+  // async alike); folded into ServingStats at the end.
+  lp::LpCounters lpTotals;
+  // Take one solve's outcome, synchronous or from the async pipeline: fold
+  // its LP telemetry (and, for the primary at depth 0, its shard stats) into
+  // the run totals and return its schedule — none when the solve was
+  // cancelled. A missing schedule otherwise throws, which the guarded chain
+  // absorbs like any other policy failure.
+  const auto takeOutcome =
+      [&](const Solver& solver, SolveOutcome& outcome, int depth,
+          long long epoch) -> std::optional<IntegralSchedule> {
+    lpTotals.add(outcome.lpCounters);
+    if (depth == 0) noteShard(epoch);
+    if (outcome.cancelled()) return std::nullopt;
+    DSCT_CHECK_MSG(outcome.schedule.has_value(),
+                   "solver '" << solver.name()
+                              << "' returned no integral schedule");
+    return std::move(outcome.schedule);
+  };
+  // Execute one epoch's schedule and account it: energy, per-request FLOPs
+  // and completion time, interruptions, and deadline misses. `order` maps
+  // the instance's deadline-sorted tasks to their slots in `batch`.
+  const auto executeEpoch = [&](const Instance& inst,
+                                const IntegralSchedule& sched,
+                                const FaultContext& faultCtx,
+                                std::vector<Active>& batch,
+                                const std::vector<std::size_t>& order,
+                                double epochEnd) {
+    ExecutionResult exec = executeSchedule(inst, sched, CommModel{}, faultCtx);
+    stats.totalEnergy += exec.totalEnergy;
+    for (int j = 0; j < inst.numTasks(); ++j) {
+      const TaskExecution& te = exec.executions[static_cast<std::size_t>(j)];
+      Active& req = batch[order[static_cast<std::size_t>(j)]];
+      if (te.executed && te.flops > 0.0) {
+        req.flopsDone += te.flops;
+        req.lastFinish = epochEnd + te.finish;
+      }
+      if (te.interrupted) {
+        req.interrupted = true;
+        ++req.retryCount;
+        ++stats.interruptions;
+      }
+      if (!te.deadlineMet) {
+        ++stats.deadlineMisses;
+        stats.missPenalty += req.missPenalty;
+      }
+    }
+    return exec;
+  };
+
   // Double-buffered execution stash for async serving: epoch k's plan is
   // executed while epoch k+1's solve runs on the pipeline thread. Only used
   // when overlapEligible — execution then cannot feed back into later
@@ -361,21 +369,8 @@ ServingStats runServingImpl(
     PendingExec& p = *pendingExec;
     // Overlap mode implies faults are disabled, so the default FaultContext
     // reproduces the inline execution path exactly (no interruptions).
-    const ExecutionResult exec =
-        executeSchedule(p.inst, p.sched, CommModel{}, FaultContext{});
-    stats.totalEnergy += exec.totalEnergy;
-    for (int j = 0; j < p.inst.numTasks(); ++j) {
-      const TaskExecution& te = exec.executions[static_cast<std::size_t>(j)];
-      Active& req = p.batch[p.order[static_cast<std::size_t>(j)]];
-      if (te.executed && te.flops > 0.0) {
-        req.flopsDone += te.flops;
-        req.lastFinish = p.epochEnd + te.finish;
-      }
-      if (!te.deadlineMet) {
-        ++stats.deadlineMisses;
-        stats.missPenalty += req.missPenalty;
-      }
-    }
+    executeEpoch(p.inst, p.sched, FaultContext{}, p.batch, p.order,
+                 p.epochEnd);
     for (const Active& req : p.batch) finalize(req);
     pendingExec.reset();
   };
@@ -599,15 +594,13 @@ ServingStats runServingImpl(
       const bool injected = guarded && faults.policyFailureInjected(epoch) &&
                             faults.injectFailureDepth() > 0;
       if (!injected) {
-        asyncPrimary.ctx = solveCtx;
-        applyAvailability(asyncPrimary.ctx, primary);
         if (guarded && options.epochTimeLimitSeconds > 0.0) {
           asyncPrimary.granted = options.epochTimeLimitSeconds;
           asyncPrimary.start = nowSeconds();
           asyncPrimary.token = std::make_unique<CancelToken>(
               options.epochTimeLimitSeconds, options.clock);
-          asyncPrimary.ctx.cancel = asyncPrimary.token.get();
         }
+        asyncPrimary.ctx = contextFor(primary, asyncPrimary.token.get());
         asyncPrimary.fut = pipeline->submit(primary, inst, asyncPrimary.ctx);
         asyncPrimary.submitted = true;
         ++stats.asyncEpochs;
@@ -621,6 +614,14 @@ ServingStats runServingImpl(
         if (p->submitted && p->fut.valid()) p->fut.wait();
       }
     } futureDrain{&asyncPrimary};
+    // This epoch's solve by `solver` at chain depth `depth` (0 = primary):
+    // the async result when the primary was submitted, otherwise a solve on
+    // this thread under `token`.
+    const auto solveAt = [&](const Solver& solver, int depth,
+                             const CancelToken* token) {
+      if (depth == 0 && asyncPrimary.submitted) return asyncPrimary.fut.get();
+      return solver.solve(inst, contextFor(solver, token));
+    };
 
     // Overlap window: the previous epoch's schedule executes here while (in
     // async mode) this epoch's solve is already running.
@@ -633,18 +634,8 @@ ServingStats runServingImpl(
     // an empty schedule rather than executing an infeasible one.
     IntegralSchedule sched = [&]() -> IntegralSchedule {
       if (!guarded) {
-        if (asyncPrimary.submitted) {
-          SolveOutcome outcome = asyncPrimary.fut.get();
-          noteLp(outcome);
-          noteShard(epoch);
-          DSCT_CHECK_MSG(outcome.schedule.has_value(),
-                         "solver '" << primary.name()
-                                    << "' returned no integral schedule");
-          return std::move(*outcome.schedule);
-        }
-        IntegralSchedule s = scheduleEpoch(primary, inst);
-        noteShard(epoch);
-        return s;
+        SolveOutcome outcome = solveAt(primary, 0, nullptr);
+        return *takeOutcome(primary, outcome, 0, epoch);
       }
       // depth 0 = the primary policy, depth k = the k-th fallback attempt.
       // Injected failures fail every attempt below the trace's
@@ -692,20 +683,11 @@ ServingStats runServingImpl(
         std::optional<IntegralSchedule> s;
         bool cancelledOutcome = false;
         try {
-          SolveOutcome outcome =
-              isAsyncPrimary ? asyncPrimary.fut.get()
-                             : solveWithCancel(solver, inst, activeToken);
-          noteLp(outcome);
-          if (depth == 0) noteShard(epoch);
+          SolveOutcome outcome = solveAt(solver, depth, activeToken);
           cancelledOutcome = outcome.cancelled();
-          if (!cancelledOutcome) {
-            // Inside the try: a missing schedule is a policy failure the
-            // chain absorbs, same as any other solver exception.
-            DSCT_CHECK_MSG(outcome.schedule.has_value(),
-                           "solver '" << solver.name()
-                                      << "' returned no integral schedule");
-            s = std::move(*outcome.schedule);
-          }
+          // Inside the try: a missing schedule is a policy failure the
+          // chain absorbs, same as any other solver exception.
+          s = takeOutcome(solver, outcome, depth, epoch);
         } catch (const std::exception&) {
           if (depth == 0) {
             ++stats.policyFailures;
@@ -814,32 +796,14 @@ ServingStats runServingImpl(
                                    static_cast<double>(exhaustedHere)});
       }
     }
-    const ExecutionResult exec = executeSchedule(inst, sched, CommModel{}, ctx);
+    const ExecutionResult exec =
+        executeEpoch(inst, sched, ctx, active, order, epochEnd);
     if (battery.active()) {
       // Drain by the energy actually consumed (busy seconds × power), which
       // a cut bounds at the machine's stored charge up to rounding.
       for (std::size_t i = 0; i < instMachines.size(); ++i) {
         battery.drain(aliveIdx[i],
                       exec.machineBusySeconds[i] * instMachines[i].power());
-      }
-    }
-
-    stats.totalEnergy += exec.totalEnergy;
-    for (int j = 0; j < inst.numTasks(); ++j) {
-      const TaskExecution& te = exec.executions[static_cast<std::size_t>(j)];
-      Active& req = active[order[static_cast<std::size_t>(j)]];
-      if (te.executed && te.flops > 0.0) {
-        req.flopsDone += te.flops;
-        req.lastFinish = epochEnd + te.finish;
-      }
-      if (te.interrupted) {
-        req.interrupted = true;
-        ++req.retryCount;
-        ++stats.interruptions;
-      }
-      if (!te.deadlineMet) {
-        ++stats.deadlineMisses;
-        stats.missPenalty += req.missPenalty;
       }
     }
 
@@ -878,6 +842,10 @@ ServingStats runServingImpl(
 ServingStats runServing(const std::vector<Machine>& machines,
                         const std::string& policy,
                         const ServingOptions& options) {
+  DSCT_CHECK_MSG(std::isfinite(options.energyBudgetPerEpoch) &&
+                     options.energyBudgetPerEpoch >= 0.0,
+                 "energyBudgetPerEpoch must be finite and >= 0, got "
+                     << options.energyBudgetPerEpoch);
   return runServingImpl(machines, policy, options, [&options](double, double) {
     return options.energyBudgetPerEpoch;
   });
@@ -891,17 +859,6 @@ ServingStats runServing(const std::vector<Machine>& machines,
                         [&supply](double epochStart, double epochEnd) {
                           return supply.energyBetween(epochStart, epochEnd);
                         });
-}
-
-ServingStats runServing(const std::vector<Machine>& machines, Policy policy,
-                        const ServingOptions& options) {
-  return runServing(machines, std::string(policyName(policy)), options);
-}
-
-ServingStats runServing(const std::vector<Machine>& machines, Policy policy,
-                        const ServingOptions& options,
-                        const PowerTrace& supply) {
-  return runServing(machines, std::string(policyName(policy)), options, supply);
 }
 
 }  // namespace dsct::sim

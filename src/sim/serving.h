@@ -7,7 +7,6 @@
 // "cloud inference service" substrate motivating the paper's problem.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -19,19 +18,6 @@
 #include "util/cancel.h"
 
 namespace dsct::sim {
-
-/// Legacy policy selector; each value maps onto a registry solver name via
-/// policyName(). New policies need no enum entry — pass any registered,
-/// integral-capable solver name to the string overloads of runServing.
-enum class Policy {
-  kApprox,            ///< DSCT-EA-APPROX (the paper's algorithm)
-  kEdfNoCompression,  ///< EDF, full models only
-  kEdfLevels,         ///< EDF with 3 discrete compression levels
-};
-
-const char* toString(Policy policy);
-/// Registry name of the solver backing `policy` ("approx", "edf", "edf3").
-const char* policyName(Policy policy);
 
 /// One externally supplied serving request: arrival time plus the
 /// per-request attributes the driver would otherwise draw from its own RNG.
@@ -61,12 +47,13 @@ struct ServingOptions {
   /// bit-identically regardless of `seed`. Mutually exclusive with
   /// `arrivalTimes`.
   std::vector<RequestSpec> requestTrace;
+  /// Simulated run length (s); finite and > 0.
   double horizonSeconds = 10.0;
   double epochSeconds = 1.0;
   /// Relative deadline drawn uniformly from this range (seconds).
   double relDeadlineLo = 0.5;
   double relDeadlineHi = 2.0;
-  /// Energy budget granted per scheduling epoch (J).
+  /// Energy budget granted per scheduling epoch (J); finite and >= 0.
   double energyBudgetPerEpoch = 100.0;
   double thetaLo = 0.1;
   double thetaHi = 4.9;
@@ -137,39 +124,15 @@ struct ServingOptions {
   /// when it rejects. Implied by faults.enabled; off by default to keep the
   /// default path bit-identical to the pre-fault driver.
   bool validateEpochs = false;
-  /// Carry a cross-solve ProfileCache (sched/profile_cache.h) across the
-  /// run's epochs, so FR-OPT re-solves of an already-seen (instance,
-  /// machine-state) pair reuse earlier evaluations. kApprox only; the cache
-  /// key fingerprints the whole epoch instance, so crashes (alive-machine
-  /// replans) and budget shocks can never serve stale answers. Results are
-  /// bit-identical with the cache on or off (pinned by
-  /// tests/serving_backlog_test.cpp); only the work differs.
-  bool crossSolveCache = true;
-  /// Run FR-OPT's batch evaluations on a worker pool whose workers read the
-  /// sharded cross-solve cache concurrently; writes stay single-threaded and
-  /// index-ordered inside the evaluator's commit phase, so serving results
-  /// are bit-identical with this flag on or off (pinned by
-  /// tests/serving_backlog_test.cpp). kApprox only.
-  bool parallelCachedEval = false;
-  /// Worker threads for parallelCachedEval; 0 means hardware concurrency.
-  std::size_t solverThreads = 0;
-  /// Carry an LP warm-start slot (core/solver_api.h LpWarmStartSlot) across
-  /// the run's epochs for solvers with the `usesLpWarmStart` capability
-  /// ("fr-lp", "mip-warm"): the final basis of one epoch's optimal LP seeds
-  /// the next epoch's solve when the instance's structural fingerprint
-  /// matches (bound/RHS drift only). Results are bit-identical with this on
-  /// or off (pinned by tests/solver_warm_start_test.cpp); only the pivot
-  /// work differs — see ServingStats' lp* counters.
-  bool lpWarmStarts = true;
   /// Shard the primary policy's epoch solves into K budget-partitioned
   /// cells coordinated by the Lagrangian energy-price loop (DESIGN.md §18,
   /// shard/coordinator.h): the epoch instance is split deterministically,
   /// the global budget is priced across the cells, the cells solve in
-  /// parallel on the run's worker pool, and leftover energy tops up
-  /// budget-bound cells. <= 1 (default) keeps the unsharded path
-  /// bit-identically (tests/serving_shard_test.cpp pins this). Fallback
-  /// attempts stay unsharded — a shard-layer problem must not take the
-  /// safety net down with it.
+  /// parallel on a run-owned pool of hardware-concurrency threads, and
+  /// leftover energy tops up budget-bound cells. 0 (default) or 1 keeps the
+  /// unsharded path bit-identically (tests/serving_shard_test.cpp pins
+  /// this). Fallback attempts stay unsharded — a shard-layer problem must
+  /// not take the safety net down with it. Negative values are rejected.
   int shards = 0;
   /// Partitioner seed for the sharded path (see shard::PartitionOptions).
   std::uint64_t shardSeed = 0;
@@ -263,8 +226,8 @@ struct ServingStats {
                                         ///< cap outside the budget tolerance
   std::vector<EpochIncident> incidents;
 
-  // Cross-solve ProfileCache traffic over the whole run (all zero when
-  // ServingOptions::crossSolveCache is off or the policy is not kApprox).
+  // Cross-solve ProfileCache traffic over the whole run (all zero when no
+  // solver of the run declares `usesProfileCache`).
   long long profileCacheHits = 0;
   long long profileCacheMisses = 0;
   long long profileCacheInvalidations = 0;
@@ -274,10 +237,10 @@ struct ServingStats {
   // LP work over the whole run, summed from SolveOutcome::lpCounters (all
   // zero for policies without an LP). used/repaired count every warm basis
   // the engine accepted — the cross-epoch slot AND the MIP's intra-solve
-  // node-basis inheritance, so they are nonzero for MIP policies even with
-  // lpWarmStarts off. Rejections can only come from the cross-epoch slot
-  // (stale fingerprint/shape), so lpWarmStartsRejected is zero whenever
-  // lpWarmStarts is off.
+  // node-basis inheritance, so they are nonzero for MIP policies even
+  // without a slot. Rejections can only come from the cross-epoch slot
+  // (stale fingerprint/shape), so lpWarmStartsRejected is zero for a solver
+  // that does not declare `usesLpWarmStart`.
   long long lpPivots = 0;
   long long lpRefactorizations = 0;
   long long lpWarmStartsUsed = 0;      ///< warm basis feasible: phase 1 skipped
@@ -285,12 +248,20 @@ struct ServingStats {
   long long lpWarmStartsRejected = 0;  ///< stale fingerprint/shape: cold solve
 };
 
-ServingStats runServing(const std::vector<Machine>& machines, Policy policy,
-                        const ServingOptions& options);
-
-/// Registry-name overload: `policy` may be any solver registered in
-/// core/solver_registry.h that has the `integral` capability ("approx",
-/// "edf", "edf3", "levels-opt", "mip-warm", ... — see `dsct_cli solvers`).
+/// Serve `options`' request stream with the registry solver `policy`: any
+/// solver registered in core/solver_registry.h that has the `integral`
+/// capability ("approx", "edf", "edf3", "levels-opt", "mip-warm", ... — see
+/// `dsct_cli solvers`). Throws CheckError on an unknown or non-integral
+/// policy and on invalid options, naming the offending field.
+///
+/// Shared resources follow the solvers' capabilities and are carried across
+/// the run's epochs: a cross-solve ProfileCache (sched/profile_cache.h) when
+/// a solver declares `usesProfileCache`, and an LP warm-start slot
+/// (core/solver_api.h LpWarmStartSlot) when it declares `usesLpWarmStart`.
+/// Both change only the work a solve does, never its result: the cache key
+/// fingerprints the whole epoch instance, and a warm basis only changes the
+/// pivot path (tests/serving_backlog_test.cpp and
+/// tests/solver_warm_start_test.cpp pin both against runs without them).
 ServingStats runServing(const std::vector<Machine>& machines,
                         const std::string& policy,
                         const ServingOptions& options);
@@ -302,10 +273,6 @@ class PowerTrace;
 /// (options.energyBudgetPerEpoch is ignored). Unused energy is not stored —
 /// a batteryless deployment; adding storage is a one-line change in the
 /// budget accounting and deliberately left to the caller.
-ServingStats runServing(const std::vector<Machine>& machines, Policy policy,
-                        const ServingOptions& options,
-                        const PowerTrace& supply);
-
 ServingStats runServing(const std::vector<Machine>& machines,
                         const std::string& policy,
                         const ServingOptions& options,

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/solver_api.h"
@@ -65,6 +66,14 @@ TEST(SolverRegistry, AllAlgorithmsResolveByNameAndAlias) {
   // mip-cold has no alias but must still be registered.
   EXPECT_EQ(SolverRegistry::instance().resolve("mip-cold").name(), "mip-cold");
   EXPECT_GE(SolverRegistry::instance().solvers().size(), 8u);
+}
+
+TEST(SolverRegistry, ServingPolicyDisplayNames) {
+  // The paper's labels for the three serving policies it compares.
+  const SolverRegistry& registry = SolverRegistry::instance();
+  EXPECT_EQ(registry.resolve("approx").displayName(), "DSCT-EA-Approx");
+  EXPECT_EQ(registry.resolve("edf").displayName(), "EDF-NoCompression");
+  EXPECT_EQ(registry.resolve("edf3").displayName(), "EDF-3CompressionLevels");
 }
 
 TEST(SolverRegistry, UnknownNameFailsLoudlyWithKnownNamesListed) {
@@ -213,6 +222,112 @@ TEST(SolverRegistry, CapabilitiesDescribeOutputs) {
     if (!outcome.solved()) continue;
     if (outcome.schedule.has_value()) EXPECT_TRUE(caps.integral);
     if (outcome.fractional.has_value()) EXPECT_TRUE(caps.fractional);
+  }
+}
+
+// --- Serving variants (tests/test_support.h) ---------------------------------
+// The serving pins compare a builtin policy against a test-only variant of
+// it; these tests hold the variants to what they claim to change.
+
+void expectSameCapabilities(const SolverCapabilities& a,
+                            const SolverCapabilities& b) {
+  EXPECT_EQ(a.integral, b.integral);
+  EXPECT_EQ(a.fractional, b.fractional);
+  EXPECT_EQ(a.usesProfileCache, b.usesProfileCache);
+  EXPECT_EQ(a.usesThreadPool, b.usesThreadPool);
+  EXPECT_EQ(a.exact, b.exact);
+  EXPECT_EQ(a.deterministic, b.deterministic);
+  EXPECT_EQ(a.usesLpWarmStart, b.usesLpWarmStart);
+  EXPECT_EQ(a.availabilityAware, b.availabilityAware);
+  EXPECT_EQ(a.priceGuided, b.priceGuided);
+}
+
+TEST(ServingVariant, NoCacheDropsOnlyTheProfileCacheCapability) {
+  const SolverRegistry& registry = SolverRegistry::instance();
+  const Solver& base = registry.resolve("approx");
+  const Solver& variant = registry.resolve(
+      testing::servingVariant("approx", testing::ServingVariant::kNoCache));
+  EXPECT_EQ(variant.name(), "approx/uncached");
+  EXPECT_EQ(variant.displayName(), base.displayName());
+  ASSERT_TRUE(base.capabilities().usesProfileCache);
+  SolverCapabilities expected = base.capabilities();
+  expected.usesProfileCache = false;
+  expectSameCapabilities(variant.capabilities(), expected);
+}
+
+TEST(ServingVariant, NoLpWarmDropsOnlyTheWarmStartCapability) {
+  const SolverRegistry& registry = SolverRegistry::instance();
+  const Solver& base = registry.resolve("mip-warm");
+  const Solver& variant = registry.resolve(
+      testing::servingVariant("mip-warm", testing::ServingVariant::kNoLpWarm));
+  EXPECT_EQ(variant.name(), "mip-warm/cold-lp");
+  EXPECT_EQ(variant.displayName(), base.displayName());
+  ASSERT_TRUE(base.capabilities().usesLpWarmStart);
+  SolverCapabilities expected = base.capabilities();
+  expected.usesLpWarmStart = false;
+  expectSameCapabilities(variant.capabilities(), expected);
+}
+
+TEST(ServingVariant, ParallelCachedEvalKeepsCapabilities) {
+  const SolverRegistry& registry = SolverRegistry::instance();
+  const Solver& base = registry.resolve("approx");
+  const Solver& variant = registry.resolve(testing::servingVariant(
+      "approx", testing::ServingVariant::kParallelCachedEval));
+  EXPECT_EQ(variant.name(), "approx/parallel-eval");
+  EXPECT_EQ(variant.displayName(), base.displayName());
+  expectSameCapabilities(variant.capabilities(), base.capabilities());
+}
+
+TEST(ServingVariant, RegistrationIsIdempotent) {
+  SolverRegistry& registry = SolverRegistry::instance();
+  const std::string name =
+      testing::servingVariant("edf3", testing::ServingVariant::kNoCache);
+  const std::size_t registered = registry.solvers().size();
+  const Solver* solver = &registry.resolve(name);
+  EXPECT_EQ(testing::servingVariant("edf3", testing::ServingVariant::kNoCache),
+            name);
+  EXPECT_EQ(registry.solvers().size(), registered);
+  EXPECT_EQ(&registry.resolve(name), solver);
+}
+
+TEST(ServingVariant, SolvesMatchTheirBase) {
+  // Each variant changes only work, never an answer: a base and its variant,
+  // each carrying its own cache and warm slot across the corpus the way
+  // serving carries them across epochs, agree bit for bit on every case.
+  const SolverRegistry& registry = SolverRegistry::instance();
+  const std::pair<const char*, testing::ServingVariant> variants[] = {
+      {"approx", testing::ServingVariant::kNoCache},
+      {"approx", testing::ServingVariant::kParallelCachedEval},
+      {"mip-warm", testing::ServingVariant::kNoLpWarm},
+  };
+  for (const auto& [baseName, kind] : variants) {
+    const Solver& base = registry.resolve(baseName);
+    const Solver& variant =
+        registry.resolve(testing::servingVariant(baseName, kind));
+    SCOPED_TRACE(variant.name());
+    ProfileCache baseCache;
+    ProfileCache variantCache;
+    LpWarmStartSlot baseSlot;
+    LpWarmStartSlot variantSlot;
+    SolveContext baseContext = limitedContext();
+    baseContext.frOpt.sharedCache = &baseCache;
+    baseContext.lpWarm = &baseSlot;
+    SolveContext variantContext = limitedContext();
+    variantContext.frOpt.sharedCache = &variantCache;
+    variantContext.lpWarm = &variantSlot;
+    for (int caseIdx : corpusCasesFor(base)) {
+      const Instance inst = corpusInstance(kSeed, caseIdx);
+      const SolveOutcome a = base.solve(inst, baseContext);
+      const SolveOutcome b = variant.solve(inst, variantContext);
+      SCOPED_TRACE("case " + std::to_string(caseIdx));
+      EXPECT_EQ(a.totalAccuracy, b.totalAccuracy);
+      EXPECT_EQ(a.energy, b.energy);
+      EXPECT_EQ(a.upperBound, b.upperBound);
+      ASSERT_EQ(a.schedule.has_value(), b.schedule.has_value());
+      if (a.schedule.has_value()) {
+        expectSameIntegral(*a.schedule, *b.schedule, inst);
+      }
+    }
   }
 }
 

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+
 #include "sched/energy_profile.h"
 #include "sched/schedule.h"
 #include "sched/types.h"
@@ -59,6 +62,17 @@ TEST(Instance, RejectsInvalidInputs) {
   EXPECT_THROW(
       Instance({Task{-1.0, twoSegment(), ""}}, {Machine{1.0, 1.0, ""}}, 1.0),
       CheckError);
+  // A NaN or infinite budget is reported as non-finite, not as negative.
+  for (const double budget : {std::nan(""), HUGE_VAL}) {
+    try {
+      Instance({}, {Machine{1.0, 1.0, ""}}, budget);
+      ADD_FAILURE() << "budget " << budget << " accepted";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("must be finite"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(FractionalSchedule, MetricsAndLoads) {

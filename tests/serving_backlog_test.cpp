@@ -5,6 +5,7 @@
 #include "accuracy/piecewise.h"
 #include "sim/renewable.h"
 #include "sim/serving.h"
+#include "tests/test_support.h"
 #include "util/check.h"
 #include "workload/gpu_catalog.h"
 
@@ -80,10 +81,10 @@ TEST(BacklogServing, CarryOverNeverHurtsAndUsuallyHelps) {
   options.seed = 17;
   options.carryBacklog = false;
   const auto oneShot =
-      sim::runServing(machines, sim::Policy::kApprox, options);
+      sim::runServing(machines, "approx", options);
   options.carryBacklog = true;
   const auto carried =
-      sim::runServing(machines, sim::Policy::kApprox, options);
+      sim::runServing(machines, "approx", options);
   EXPECT_EQ(oneShot.requests, carried.requests);
   EXPECT_GT(carried.meanAccuracy, oneShot.meanAccuracy);
 }
@@ -100,7 +101,7 @@ TEST(BacklogServing, RequestCountsConserved) {
   options.seed = 23;
   options.carryBacklog = true;
   const auto stats =
-      sim::runServing(machines, sim::Policy::kApprox, options);
+      sim::runServing(machines, "approx", options);
   // Every arrival inside the horizon is finalized exactly once.
   EXPECT_GT(stats.requests, 0);
   EXPECT_LE(stats.served, stats.requests);
@@ -114,8 +115,8 @@ TEST(BacklogServing, DeterministicWithSeed) {
   options.horizonSeconds = 2.0;
   options.carryBacklog = true;
   options.seed = 31;
-  const auto a = sim::runServing(machines, sim::Policy::kEdfLevels, options);
-  const auto b = sim::runServing(machines, sim::Policy::kEdfLevels, options);
+  const auto a = sim::runServing(machines, "edf3", options);
+  const auto b = sim::runServing(machines, "edf3", options);
   EXPECT_EQ(a.requests, b.requests);
   EXPECT_DOUBLE_EQ(a.meanAccuracy, b.meanAccuracy);
 }
@@ -159,10 +160,11 @@ TEST(CrossEpochCache, BitIdenticalWithAndWithoutCache) {
   options.energyBudgetPerEpoch = 25.0;
   options.seed = 41;
   options.carryBacklog = true;
-  options.crossSolveCache = true;
-  const auto cached = sim::runServing(machines, sim::Policy::kApprox, options);
-  options.crossSolveCache = false;
-  const auto fresh = sim::runServing(machines, sim::Policy::kApprox, options);
+  const auto cached = sim::runServing(machines, "approx", options);
+  const auto fresh = sim::runServing(
+      machines,
+      testing::servingVariant("approx", testing::ServingVariant::kNoCache),
+      options);
   expectBitIdentical(cached, fresh);
   // The cache must actually be in play on the enabled run and absent on the
   // disabled one.
@@ -195,10 +197,11 @@ TEST(CrossEpochCache, BitIdenticalUnderFaultTraces) {
   options.faults.budgetShockFactor = 0.3;
   options.faults.maxRetries = 2;
   options.faults.injectPolicyFailureEpochs = {3};
-  options.crossSolveCache = true;
-  const auto cached = sim::runServing(machines, sim::Policy::kApprox, options);
-  options.crossSolveCache = false;
-  const auto fresh = sim::runServing(machines, sim::Policy::kApprox, options);
+  const auto cached = sim::runServing(machines, "approx", options);
+  const auto fresh = sim::runServing(
+      machines,
+      testing::servingVariant("approx", testing::ServingVariant::kNoCache),
+      options);
   expectBitIdentical(cached, fresh);
   EXPECT_GT(cached.profileCacheMisses, 0);
   EXPECT_EQ(fresh.profileCacheMisses, 0);
@@ -219,13 +222,12 @@ TEST(CrossEpochCache, BitIdenticalWithParallelCachedEval) {
   options.energyBudgetPerEpoch = 25.0;
   options.seed = 41;
   options.carryBacklog = true;
-  options.crossSolveCache = true;
-  options.parallelCachedEval = true;
-  options.solverThreads = 8;
-  const auto parallel =
-      sim::runServing(machines, sim::Policy::kApprox, options);
-  options.parallelCachedEval = false;
-  const auto serial = sim::runServing(machines, sim::Policy::kApprox, options);
+  const auto parallel = sim::runServing(
+      machines,
+      testing::servingVariant("approx",
+                              testing::ServingVariant::kParallelCachedEval),
+      options);
+  const auto serial = sim::runServing(machines, "approx", options);
   expectBitIdentical(parallel, serial);
   EXPECT_EQ(parallel.profileCacheHits, serial.profileCacheHits);
   EXPECT_EQ(parallel.profileCacheMisses, serial.profileCacheMisses);
@@ -235,15 +237,13 @@ TEST(CrossEpochCache, BitIdenticalWithParallelCachedEval) {
 }
 
 TEST(CrossEpochCache, CountersZeroForNonApproxPolicies) {
-  // The cache rides the FR-OPT evaluator; EDF policies never touch it even
-  // with the option left on.
+  // The cache rides the FR-OPT evaluator; EDF policies never touch it.
   const auto machines = machinesFromCatalog({"T4"});
   sim::ServingOptions options;
   options.horizonSeconds = 2.0;
   options.seed = 47;
-  options.crossSolveCache = true;
   const auto stats =
-      sim::runServing(machines, sim::Policy::kEdfLevels, options);
+      sim::runServing(machines, "edf3", options);
   EXPECT_EQ(stats.profileCacheHits, 0);
   EXPECT_EQ(stats.profileCacheMisses, 0);
   EXPECT_EQ(stats.profileCacheInvalidations, 0);
@@ -261,7 +261,7 @@ TEST(BacklogServing, WorksWithRenewableSupply) {
   options.seed = 37;
   const sim::PowerTrace supply({0.0, 2.0}, {0.0, 120.0});
   const auto stats =
-      sim::runServing(machines, sim::Policy::kApprox, options, supply);
+      sim::runServing(machines, "approx", options, supply);
   // Requests arriving in the dark can still be served after power returns.
   EXPECT_GT(stats.served, 0);
   EXPECT_LE(stats.totalEnergy, supply.energyBetween(0.0, 4.0) + 1e-6);

@@ -2,6 +2,7 @@
 // fault replay, crash/shock recovery, fallback chain, admission control.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 #include <utility>
 #include <vector>
@@ -54,7 +55,7 @@ void expectStatsEqual(const sim::ServingStats& a, const sim::ServingStats& b) {
 TEST(ServingGolden, DefaultPathOneShotBitIdentical) {
   const auto machines = machinesFromCatalog({"T4", "V100"});
   const auto s =
-      sim::runServing(machines, sim::Policy::kApprox, referenceOptions());
+      sim::runServing(machines, "approx", referenceOptions());
   EXPECT_EQ(s.requests, 99);
   EXPECT_EQ(s.served, 77);
   EXPECT_EQ(s.deadlineMisses, 0);
@@ -71,7 +72,7 @@ TEST(ServingGolden, DefaultPathBacklogBitIdentical) {
   const auto machines = machinesFromCatalog({"T4", "V100"});
   auto options = referenceOptions();
   options.carryBacklog = true;
-  const auto s = sim::runServing(machines, sim::Policy::kApprox, options);
+  const auto s = sim::runServing(machines, "approx", options);
   EXPECT_EQ(s.requests, 99);
   EXPECT_EQ(s.served, 75);
   EXPECT_DOUBLE_EQ(s.meanAccuracy, 0.33395318251464207);
@@ -82,7 +83,7 @@ TEST(ServingGolden, DefaultPathBacklogBitIdentical) {
 TEST(ServingGolden, DefaultPathEdfLevelsBitIdentical) {
   const auto machines = machinesFromCatalog({"T4", "V100"});
   const auto s =
-      sim::runServing(machines, sim::Policy::kEdfLevels, referenceOptions());
+      sim::runServing(machines, "edf3", referenceOptions());
   EXPECT_EQ(s.served, 31);
   EXPECT_DOUBLE_EQ(s.meanAccuracy, 0.15260606060606044);
   EXPECT_DOUBLE_EQ(s.totalEnergy, 387.78426112463819);
@@ -94,7 +95,7 @@ TEST(ServingGolden, DefaultPathRenewableBitIdentical) {
   const auto options = referenceOptions();
   const sim::PowerTrace supply({0.0, 2.0}, {30.0, 140.0});
   const auto s =
-      sim::runServing(machines, sim::Policy::kApprox, options, supply);
+      sim::runServing(machines, "approx", options, supply);
   EXPECT_EQ(s.served, 75);
   EXPECT_DOUBLE_EQ(s.meanAccuracy, 0.34670914302531713);
   EXPECT_DOUBLE_EQ(s.totalEnergy, 479.99999999999994);
@@ -113,7 +114,7 @@ TEST(ServingGolden, AvailabilityDefaultsPreserveGoldenPin) {
   options.availability.batteryCapacityJoules = 5.0;
   options.availability.rechargeWatts = 1.0;
   ASSERT_FALSE(options.availability.enabled);
-  const auto s = sim::runServing(machines, sim::Policy::kApprox, options);
+  const auto s = sim::runServing(machines, "approx", options);
   EXPECT_EQ(s.requests, 99);
   EXPECT_EQ(s.served, 77);
   EXPECT_DOUBLE_EQ(s.meanAccuracy, 0.32768861033259078);
@@ -132,12 +133,126 @@ TEST(ServingOptionsCheck, ExplicitTraceDoesNotRequirePositiveRate) {
   sim::ServingOptions options = referenceOptions();
   options.arrivalTimes = {0.1, 0.4, 1.2, 2.7};
   options.arrivalRatePerSecond = 0.0;  // unused and must not be rejected
-  const auto s = sim::runServing(machines, sim::Policy::kApprox, options);
+  const auto s = sim::runServing(machines, "approx", options);
   EXPECT_EQ(s.requests, 4);
   // Without a trace, a non-positive rate is still an error.
   options.arrivalTimes.clear();
-  EXPECT_THROW(sim::runServing(machines, sim::Policy::kApprox, options),
+  EXPECT_THROW(sim::runServing(machines, "approx", options),
                CheckError);
+}
+
+/// Expects `run` to throw a CheckError whose message contains `needle`.
+template <typename Run>
+void expectCheckErrorNaming(const Run& run, const std::string& needle) {
+  try {
+    run();
+    ADD_FAILURE() << needle << " accepted";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ServingOptionsCheck, RejectsInvalidEntryOptions) {
+  // Each bad option fails the run up front with a message naming the field,
+  // instead of being clamped into a plausible-looking run (a NaN budget used
+  // to serve 0 J per epoch).
+  const auto machines = machinesFromCatalog({"T4"});
+  const auto expectRejected = [&](const sim::ServingOptions& options,
+                                  const std::string& field) {
+    expectCheckErrorNaming(
+        [&] { sim::runServing(machines, "edf3", options); }, field);
+  };
+  for (const double horizon : {-5.0, 0.0, std::nan(""), HUGE_VAL}) {
+    sim::ServingOptions options;
+    options.horizonSeconds = horizon;
+    expectRejected(options, "horizonSeconds");
+  }
+  for (const double budget : {-1.0, std::nan(""), HUGE_VAL}) {
+    sim::ServingOptions options;
+    options.energyBudgetPerEpoch = budget;
+    expectRejected(options, "energyBudgetPerEpoch");
+  }
+  sim::ServingOptions options;
+  options.shards = -3;
+  expectRejected(options, "shards");
+  // A PowerTrace supplies the budget, so energyBudgetPerEpoch is ignored.
+  options.shards = 0;
+  options.horizonSeconds = 1.0;
+  options.energyBudgetPerEpoch = std::nan("");
+  EXPECT_NO_THROW(sim::runServing(machines, "edf3", options,
+                                  sim::PowerTrace::constant(50.0)));
+}
+
+TEST(ServingOptionsCheck, PowerTraceOverloadChecksEntryOptions) {
+  // The supply overload shares the horizon and shard checks; only the fixed
+  // per-epoch budget is out of its scope.
+  const auto machines = machinesFromCatalog({"T4"});
+  const auto supply = sim::PowerTrace::constant(50.0);
+  for (const double horizon : {-5.0, 0.0, std::nan(""), HUGE_VAL}) {
+    sim::ServingOptions options;
+    options.horizonSeconds = horizon;
+    expectCheckErrorNaming(
+        [&] { sim::runServing(machines, "edf3", options, supply); },
+        "horizonSeconds");
+  }
+  sim::ServingOptions options;
+  options.shards = -3;
+  expectCheckErrorNaming(
+      [&] { sim::runServing(machines, "edf3", options, supply); }, "shards");
+}
+
+TEST(ServingOptionsCheck, PowerTraceRunIgnoresFixedBudget) {
+  // Under a PowerTrace the fixed budget is never read: whatever it holds,
+  // valid or not, the run is the one the default budget gives.
+  const auto machines = machinesFromCatalog({"T4", "V100"});
+  const sim::PowerTrace supply({0.0, 2.0}, {30.0, 140.0});
+  const auto reference =
+      sim::runServing(machines, "approx", referenceOptions(), supply);
+  for (const double budget : {std::nan(""), -1.0, HUGE_VAL, 0.0}) {
+    auto options = referenceOptions();
+    options.energyBudgetPerEpoch = budget;
+    SCOPED_TRACE(budget);
+    expectStatsEqual(reference,
+                     sim::runServing(machines, "approx", options, supply));
+  }
+}
+
+TEST(ServingOptionsCheck, ZeroBudgetIsAccepted) {
+  // 0 J is the lower end of the accepted budget range, not an error: every
+  // epoch is solved with nothing to spend.
+  const auto machines = machinesFromCatalog({"T4", "V100"});
+  auto options = referenceOptions();
+  options.energyBudgetPerEpoch = 0.0;
+  for (const char* policy : {"approx", "edf", "edf3"}) {
+    SCOPED_TRACE(policy);
+    const auto s = sim::runServing(machines, policy, options);
+    EXPECT_EQ(s.requests, 99);
+    EXPECT_EQ(s.served, 0);
+    EXPECT_EQ(s.totalEnergy, 0.0);
+    EXPECT_EQ(s.policyFailures, 0);
+  }
+}
+
+TEST(ServingOptionsCheck, UnknownPolicyRejectedWithKnownNames) {
+  const auto machines = machinesFromCatalog({"T4"});
+  const auto run = [&] {
+    sim::runServing(machines, "no-such-solver", referenceOptions());
+  };
+  expectCheckErrorNaming(run, "no-such-solver");
+  expectCheckErrorNaming(run, "approx");  // the known names are listed
+}
+
+TEST(ServingOptionsCheck, FractionalOnlyPolicyRejected) {
+  // Serving executes integral schedules; a solver that only produces a
+  // fractional relaxation cannot be the primary policy.
+  const auto machines = machinesFromCatalog({"T4"});
+  for (const char* policy : {"fr-opt", "fr-lp"}) {
+    SCOPED_TRACE(policy);
+    expectCheckErrorNaming(
+        [&] { sim::runServing(machines, policy, referenceOptions()); },
+        "integral");
+  }
 }
 
 // ------------------------------------------------------- fault injection --
@@ -162,15 +277,15 @@ sim::ServingOptions faultyOptions() {
 TEST(FaultServing, DeterministicReplayBitIdentical) {
   const auto machines = machinesFromCatalog({"T4", "V100", "P100"});
   const auto options = faultyOptions();
-  const auto a = sim::runServing(machines, sim::Policy::kApprox, options);
-  const auto b = sim::runServing(machines, sim::Policy::kApprox, options);
+  const auto a = sim::runServing(machines, "approx", options);
+  const auto b = sim::runServing(machines, "approx", options);
   expectStatsEqual(a, b);
 }
 
 TEST(FaultServing, CrashShockAndInjectedFailureRecover) {
   const auto machines = machinesFromCatalog({"T4", "V100", "P100"});
   const auto options = faultyOptions();
-  const auto s = sim::runServing(machines, sim::Policy::kApprox, options);
+  const auto s = sim::runServing(machines, "approx", options);
   // The run completes (no throw) and every arrival is finalized once.
   EXPECT_EQ(s.requests, 99);
   // The injected epoch-3 failure engaged the kEdfLevels fallback.
@@ -191,7 +306,7 @@ TEST(FaultServing, CrashShockAndInjectedFailureRecover) {
   EXPECT_GT(s.served, 0);
   EXPECT_GT(s.meanAccuracy, 0.0);
   const auto clean =
-      sim::runServing(machines, sim::Policy::kApprox, [] {
+      sim::runServing(machines, "approx", [] {
         auto o = faultyOptions();
         o.faults = sim::FaultOptions{};
         return o;
@@ -205,9 +320,9 @@ TEST(FaultServing, ZeroRateFaultTraceMatchesDisabled) {
   const auto machines = machinesFromCatalog({"T4", "V100"});
   auto options = referenceOptions();
   options.carryBacklog = true;
-  const auto off = sim::runServing(machines, sim::Policy::kApprox, options);
+  const auto off = sim::runServing(machines, "approx", options);
   options.faults.enabled = true;  // all rates stay zero
-  const auto on = sim::runServing(machines, sim::Policy::kApprox, options);
+  const auto on = sim::runServing(machines, "approx", options);
   expectStatsEqual(off, on);
 }
 
@@ -218,7 +333,7 @@ TEST(FaultServing, AllMachinesDownEpochsAreCounted) {
   options.faults.seed = 7;
   options.faults.mtbfSeconds = 0.7;  // one machine, crashing constantly
   options.faults.mttrSeconds = 2.0;
-  const auto s = sim::runServing(machines, sim::Policy::kApprox, options);
+  const auto s = sim::runServing(machines, "approx", options);
   EXPECT_GT(s.noMachineEpochs, 0);
   EXPECT_EQ(s.requests, 99);
 }
@@ -232,13 +347,13 @@ TEST(FaultServing, RetryBudgetBoundsReadmissions) {
   options.relDeadlineHi = 5.0;
   options.faults.maxRetries = 0;  // interrupted once → abandoned
   options.carryBacklog = false;
-  const auto s = sim::runServing(machines, sim::Policy::kApprox, options);
+  const auto s = sim::runServing(machines, "approx", options);
   EXPECT_GT(s.interruptions, 0);
   EXPECT_EQ(s.retries, 0);
   EXPECT_GT(s.abandoned, 0);
 
   options.faults.maxRetries = 3;
-  const auto relaxed = sim::runServing(machines, sim::Policy::kApprox, options);
+  const auto relaxed = sim::runServing(machines, "approx", options);
   EXPECT_GT(relaxed.retries, 0);
 }
 
@@ -250,7 +365,7 @@ TEST(FaultServing, InjectedFailureOnEdfLevelsFallsBackToEmptyEpoch) {
   auto options = referenceOptions();
   options.faults.enabled = true;
   options.faults.injectPolicyFailureEpochs = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
-  const auto s = sim::runServing(machines, sim::Policy::kEdfLevels, options);
+  const auto s = sim::runServing(machines, "edf3", options);
   EXPECT_EQ(s.served, 0);
   EXPECT_EQ(s.policyFailures, s.epochs);
   EXPECT_EQ(s.fallbacks, s.epochs);
@@ -267,9 +382,9 @@ TEST(FaultServing, AdmissionControlShedsLowestHeadroom) {
   options.arrivalRatePerSecond = 40.0;
   options.validateEpochs = true;  // engage the guarded path without faults
   options.admissionLoadFactor = 3.0;  // ≤ 3 requests per epoch on 1 machine
-  const auto s = sim::runServing(machines, sim::Policy::kApprox, options);
+  const auto s = sim::runServing(machines, "approx", options);
   options.admissionLoadFactor = 0.0;
-  const auto unshed = sim::runServing(machines, sim::Policy::kApprox, options);
+  const auto unshed = sim::runServing(machines, "approx", options);
   EXPECT_GT(s.shed, 0);
   // Shed requests are still finalized exactly once: same arrival stream,
   // same request count.
@@ -289,32 +404,43 @@ TEST(FaultServing, ValidatedEpochsMatchUnguardedRun) {
   // policy the guarded run must reproduce the unguarded stats exactly.
   const auto machines = machinesFromCatalog({"T4", "V100"});
   auto options = referenceOptions();
-  const auto plain = sim::runServing(machines, sim::Policy::kApprox, options);
+  const auto plain = sim::runServing(machines, "approx", options);
   options.validateEpochs = true;
-  const auto gated = sim::runServing(machines, sim::Policy::kApprox, options);
+  const auto gated = sim::runServing(machines, "approx", options);
   expectStatsEqual(plain, gated);
 }
 
 // -------------------------------------------------------- fallback chain --
 
-TEST(FallbackChain, StringPolicyOverloadMatchesEnum) {
-  // The registry-name overload is the same driver: enum and string spellings
-  // of every legacy policy must agree bit for bit, faulty or not.
+TEST(FallbackChain, AliasesServeBitIdenticalToNames) {
+  // A registry alias names the same solver: serving under either spelling
+  // of every paper policy must agree bit for bit, faulty or not.
   const auto machines = machinesFromCatalog({"T4", "V100"});
-  const std::pair<sim::Policy, const char*> policies[] = {
-      {sim::Policy::kApprox, "approx"},
-      {sim::Policy::kEdfNoCompression, "edf"},
-      {sim::Policy::kEdfLevels, "edf3"},
+  const std::pair<const char*, const char*> spellings[] = {
+      {"dsct-ea-approx", "approx"},
+      {"edf-nocompress", "edf"},
+      {"edf-levels", "edf3"},
   };
-  for (const auto& [policy, name] : policies) {
-    EXPECT_STREQ(sim::policyName(policy), name);
-    expectStatsEqual(
-        sim::runServing(machines, policy, referenceOptions()),
-        sim::runServing(machines, std::string(name), referenceOptions()));
-    expectStatsEqual(
-        sim::runServing(machines, policy, faultyOptions()),
-        sim::runServing(machines, std::string(name), faultyOptions()));
+  for (const auto& [alias, name] : spellings) {
+    SCOPED_TRACE(alias);
+    expectStatsEqual(sim::runServing(machines, alias, referenceOptions()),
+                     sim::runServing(machines, name, referenceOptions()));
+    expectStatsEqual(sim::runServing(machines, alias, faultyOptions()),
+                     sim::runServing(machines, name, faultyOptions()));
   }
+}
+
+TEST(FallbackChain, AliasInChainBitIdenticalToName) {
+  // Fallback entries resolve through the same registry lookup as the
+  // primary, so an aliased chain replays the named chain exactly.
+  const auto machines = machinesFromCatalog({"T4", "V100", "P100"});
+  auto aliased = faultyOptions();
+  aliased.fallbackChain = {"edf-nocompress", "edf-levels"};
+  auto named = faultyOptions();
+  named.fallbackChain = {"edf", "edf3"};
+  const auto a = sim::runServing(machines, "approx", aliased);
+  EXPECT_GT(a.fallbacks, 0);
+  expectStatsEqual(a, sim::runServing(machines, "approx", named));
 }
 
 TEST(FallbackChain, ExplicitDefaultChainBitIdenticalToDefault) {
@@ -325,8 +451,8 @@ TEST(FallbackChain, ExplicitDefaultChainBitIdenticalToDefault) {
   auto explicitChain = faultyOptions();
   explicitChain.fallbackChain = {"edf3"};
   expectStatsEqual(
-      sim::runServing(machines, sim::Policy::kApprox, faultyOptions()),
-      sim::runServing(machines, sim::Policy::kApprox, explicitChain));
+      sim::runServing(machines, "approx", faultyOptions()),
+      sim::runServing(machines, "approx", explicitChain));
 }
 
 TEST(FallbackChain, TwoEntryChainIncidentOrderPinned) {
@@ -400,11 +526,11 @@ TEST(FallbackChain, InvalidChainEntriesFailLoudly) {
   auto options = referenceOptions();
   options.faults.enabled = true;
   options.fallbackChain = {"no-such-solver"};
-  EXPECT_THROW(sim::runServing(machines, sim::Policy::kApprox, options),
+  EXPECT_THROW(sim::runServing(machines, "approx", options),
                CheckError);
   // Fractional-only solvers cannot serve epochs.
   options.fallbackChain = {"fr-opt"};
-  EXPECT_THROW(sim::runServing(machines, sim::Policy::kApprox, options),
+  EXPECT_THROW(sim::runServing(machines, "approx", options),
                CheckError);
   options.fallbackChain = {"edf3"};
   EXPECT_THROW(
@@ -426,8 +552,8 @@ TEST(FaultServing, WorksWithRenewableSupply) {
   const auto machines = machinesFromCatalog({"T4", "V100"});
   auto options = faultyOptions();
   const sim::PowerTrace supply({0.0, 2.0}, {40.0, 160.0});
-  const auto a = sim::runServing(machines, sim::Policy::kApprox, options, supply);
-  const auto b = sim::runServing(machines, sim::Policy::kApprox, options, supply);
+  const auto a = sim::runServing(machines, "approx", options, supply);
+  const auto b = sim::runServing(machines, "approx", options, supply);
   EXPECT_EQ(a.requests, 99);
   expectStatsEqual(a, b);
 }

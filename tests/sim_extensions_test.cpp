@@ -80,7 +80,7 @@ TEST(RenewableServing, BudgetFollowsSupply) {
   // Power only in the second half of the horizon.
   const sim::PowerTrace supply({0.0, 2.0}, {0.0, 200.0});
   const sim::ServingStats stats =
-      sim::runServing(machines, sim::Policy::kApprox, options, supply);
+      sim::runServing(machines, "approx", options, supply);
   EXPECT_GT(stats.requests, 0);
   // Total energy cannot exceed what the supply provided.
   EXPECT_LE(stats.totalEnergy,
@@ -95,7 +95,7 @@ TEST(RenewableServing, ZeroSupplyServesNothing) {
   options.horizonSeconds = 2.0;
   options.seed = 6;
   const sim::ServingStats stats = sim::runServing(
-      machines, sim::Policy::kApprox, options, sim::PowerTrace::constant(0.0));
+      machines, "approx", options, sim::PowerTrace::constant(0.0));
   EXPECT_EQ(stats.served, 0);
   EXPECT_DOUBLE_EQ(stats.totalEnergy, 0.0);
 }
@@ -113,9 +113,9 @@ TEST(RenewableServing, MoreSunMoreAccuracy) {
   const auto bright =
       sim::PowerTrace::solarDay(300.0, 4.0, 0.0, 1.0, 32, 0.0, rng);
   const auto dimStats =
-      sim::runServing(machines, sim::Policy::kApprox, options, dim);
+      sim::runServing(machines, "approx", options, dim);
   const auto brightStats =
-      sim::runServing(machines, sim::Policy::kApprox, options, bright);
+      sim::runServing(machines, "approx", options, bright);
   EXPECT_GT(brightStats.meanAccuracy, dimStats.meanAccuracy);
 }
 

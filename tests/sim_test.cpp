@@ -97,7 +97,7 @@ TEST(Serving, RunsAndAccountsRequests) {
   options.seed = 3;
   const auto machines = machinesFromCatalog({"T4", "V100"});
   const sim::ServingStats stats =
-      sim::runServing(machines, sim::Policy::kApprox, options);
+      sim::runServing(machines, "approx", options);
   EXPECT_GT(stats.requests, 0);
   EXPECT_GE(stats.served, 0);
   EXPECT_LE(stats.served, stats.requests);
@@ -114,8 +114,8 @@ TEST(Serving, DeterministicForFixedSeed) {
   options.horizonSeconds = 1.0;
   options.seed = 12;
   const auto machines = machinesFromCatalog({"T4"});
-  const auto a = sim::runServing(machines, sim::Policy::kEdfLevels, options);
-  const auto b = sim::runServing(machines, sim::Policy::kEdfLevels, options);
+  const auto a = sim::runServing(machines, "edf3", options);
+  const auto b = sim::runServing(machines, "edf3", options);
   EXPECT_EQ(a.requests, b.requests);
   EXPECT_DOUBLE_EQ(a.meanAccuracy, b.meanAccuracy);
   EXPECT_DOUBLE_EQ(a.totalEnergy, b.totalEnergy);
@@ -130,18 +130,10 @@ TEST(Serving, ApproxBeatsNoCompressionUnderTightEnergy) {
   options.seed = 21;
   const auto machines = machinesFromCatalog({"T4", "V100"});
   const auto approx =
-      sim::runServing(machines, sim::Policy::kApprox, options);
+      sim::runServing(machines, "approx", options);
   const auto none =
-      sim::runServing(machines, sim::Policy::kEdfNoCompression, options);
+      sim::runServing(machines, "edf", options);
   EXPECT_GT(approx.meanAccuracy, none.meanAccuracy);
-}
-
-TEST(Serving, PolicyNames) {
-  EXPECT_STREQ(sim::toString(sim::Policy::kApprox), "DSCT-EA-Approx");
-  EXPECT_STREQ(sim::toString(sim::Policy::kEdfNoCompression),
-               "EDF-NoCompression");
-  EXPECT_STREQ(sim::toString(sim::Policy::kEdfLevels),
-               "EDF-3CompressionLevels");
 }
 
 }  // namespace

@@ -15,8 +15,9 @@
 //  - MIP ("mip-warm" path): solveDsctMip's root-basis carry, including the
 //    stale-fingerprint rejection;
 //  - serving loop: a replayed trace with structurally identical epochs is
-//    bit-identical with ServingOptions::lpWarmStarts on vs off, and the on
-//    run proves the carry engaged (lpWarmStartsUsed > 0).
+//    bit-identical with the cross-epoch warm slot on vs off (off: the
+//    test-only "mip-warm/cold-lp" variant from tests/test_support.h),
+//    and the on run proves the carry engaged (lpWarmStartsUsed > 0).
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -276,12 +277,11 @@ TEST(WarmStart, MipRootBasisStaleFingerprintRejected) {
 /// A trace whose epochs carry structurally identical batches (same size,
 /// same θ multiset, same within-epoch deadline order), so the cross-epoch
 /// fingerprint matches and the warm-start slot actually engages.
-sim::ServingOptions replayOptions(bool lpWarmStarts) {
+sim::ServingOptions replayOptions() {
   sim::ServingOptions options;
   options.horizonSeconds = 4.0;
   options.epochSeconds = 1.0;
   options.energyBudgetPerEpoch = 60.0;
-  options.lpWarmStarts = lpWarmStarts;
   for (int epoch = 0; epoch < 4; ++epoch) {
     const double start = static_cast<double>(epoch);
     options.requestTrace.push_back({start + 0.10, 0.55, 0.73, 1.0});
@@ -295,9 +295,11 @@ TEST(WarmStart, ServingReplayBitIdenticalWarmOnVsOff) {
   const std::vector<Machine> machines = {{1.0, 0.8, "a"}, {1.6, 0.5, "b"}};
 
   const sim::ServingStats on =
-      sim::runServing(machines, "mip-warm", replayOptions(true));
-  const sim::ServingStats off =
-      sim::runServing(machines, "mip-warm", replayOptions(false));
+      sim::runServing(machines, "mip-warm", replayOptions());
+  const sim::ServingStats off = sim::runServing(
+      machines,
+      testing::servingVariant("mip-warm", testing::ServingVariant::kNoLpWarm),
+      replayOptions());
 
   // Identical service: the slot changed pivot work only.
   EXPECT_EQ(on.requests, off.requests);

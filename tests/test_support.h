@@ -3,12 +3,15 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "accuracy/fit.h"
 #include "accuracy/piecewise.h"
+#include "core/solver_registry.h"
 #include "sched/types.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 #include "workload/generator.h"
 
 namespace dsct::testing {
@@ -143,6 +146,57 @@ inline Instance goldenMidSizeInstance() {
   spec.rho = 0.01;
   spec.beta = 0.2;
   return buildInstance(std::move(machines), thetas, spec, rng);
+}
+
+// --- Serving variants --------------------------------------------------------
+// Serving attaches the cross-epoch ProfileCache and LP warm-start slot that a
+// solver's capabilities ask for, and never evaluates in parallel. Each of
+// those choices is pinned bit-identical against its alternative; a variant
+// solver is how a test serves the alternative side.
+
+enum class ServingVariant {
+  kNoCache,             ///< no cross-epoch ProfileCache
+  kNoLpWarm,            ///< no cross-epoch LP warm-start slot
+  kParallelCachedEval,  ///< parallel cached evaluation on an 8-thread pool
+};
+
+/// Registers, on first use, a test-only variant of the registry solver
+/// `base` through SolverRegistry::add/makeSolver and returns its name, to be
+/// passed to sim::runServing in place of `base`. The variant drops the
+/// capability that makes serving attach the resource it goes without, and
+/// edits the SolveContext it hands to `base`.
+inline std::string servingVariant(const std::string& base,
+                                  ServingVariant variant) {
+  static const char* const kSuffix[] = {"uncached", "cold-lp",
+                                        "parallel-eval"};
+  const std::string name = base + "/" + kSuffix[static_cast<int>(variant)];
+  SolverRegistry& registry = SolverRegistry::instance();
+  if (registry.find(name) != nullptr) return name;
+  const Solver& inner = registry.resolve(base);
+  SolverCapabilities caps = inner.capabilities();
+  if (variant == ServingVariant::kNoCache) caps.usesProfileCache = false;
+  if (variant == ServingVariant::kNoLpWarm) caps.usesLpWarmStart = false;
+  registry.add(makeSolver(
+      name, inner.displayName(), caps,
+      [&inner, variant](const Instance& inst, const SolveContext& context) {
+        SolveContext ctx = context;
+        switch (variant) {
+          case ServingVariant::kNoCache:
+            ctx.frOpt.sharedCache = nullptr;
+            break;
+          case ServingVariant::kNoLpWarm:
+            ctx.lpWarm = nullptr;
+            break;
+          case ServingVariant::kParallelCachedEval: {
+            static ThreadPool pool(8);
+            ctx.frOpt.pool = &pool;
+            ctx.frOpt.parallelCachedEval = true;
+            break;
+          }
+        }
+        return inner.solve(inst, ctx);
+      }));
+  return name;
 }
 
 }  // namespace dsct::testing

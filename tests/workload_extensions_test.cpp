@@ -108,7 +108,7 @@ TEST(Arrivals, FeedsServingDriver) {
   options.energyBudgetPerEpoch = 40.0;
   const auto machines = machinesFromCatalog({"T4"});
   const auto stats =
-      sim::runServing(machines, sim::Policy::kApprox, options);
+      sim::runServing(machines, "approx", options);
   EXPECT_EQ(stats.requests, static_cast<int>(options.arrivalTimes.size()));
 }
 
@@ -117,7 +117,7 @@ TEST(Arrivals, ServingRejectsUnsortedTimes) {
   options.arrivalTimes = {1.0, 0.5};
   options.horizonSeconds = 2.0;
   const auto machines = machinesFromCatalog({"T4"});
-  EXPECT_THROW(sim::runServing(machines, sim::Policy::kApprox, options),
+  EXPECT_THROW(sim::runServing(machines, "approx", options),
                CheckError);
 }
 

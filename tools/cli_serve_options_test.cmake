@@ -1,0 +1,27 @@
+# `dsct_cli serve` entry-option checks: a NaN budget, a non-positive horizon
+# and a negative shard count each exit 1 with an error naming the field,
+# where they used to run as a plausible-looking 0 J serve.
+function(expect_rejected field)
+  string(JOIN " " args ${ARGN})
+  execute_process(COMMAND ${CLI} serve ${ARGN} RESULT_VARIABLE code
+                  OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT code EQUAL 1)
+    message(FATAL_ERROR "serve ${args}: expected exit 1, got ${code}\n${out}\n${err}")
+  endif()
+  if(NOT err MATCHES "${field}")
+    message(FATAL_ERROR "serve ${args}: error does not name ${field}:\n${err}")
+  endif()
+endfunction()
+
+expect_rejected(energyBudgetPerEpoch --horizon 1 --budget nan)
+expect_rejected(energyBudgetPerEpoch --horizon 1 --budget -1)
+expect_rejected(horizonSeconds --horizon -5)
+expect_rejected(horizonSeconds --horizon 0)
+expect_rejected(shards --horizon 1 --shards -3)
+
+# The boundary values stay accepted.
+execute_process(COMMAND ${CLI} serve --horizon 1 --budget 0 --shards 0
+                RESULT_VARIABLE code OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT code EQUAL 0)
+  message(FATAL_ERROR "serve --budget 0 --shards 0 failed (${code}):\n${out}\n${err}")
+endif()

@@ -111,7 +111,7 @@ int usage() {
       "           [--avail] [--avail-seed N] [--depart-mtbf S]\n"
       "           [--depart-mean S] [--battery J] [--battery-init F]\n"
       "           [--recharge W] [--no-battery-cap] [--incidents-csv FILE]\n"
-      "           [--no-lp-warm] [--shards K] [--shard-seed N]\n"
+      "           [--shards K] [--shard-seed N]\n"
       "\n"
       "NAME is any solver name or alias from `dsct_cli solvers`.\n";
   return 1;
@@ -474,7 +474,6 @@ int cmdServe(const Args& args) {
   options.epochTimeLimitSeconds = args.getDouble("epoch-time-limit", 0.0);
   options.asyncServing = args.has("async");
   options.availability.capGlobalBudget = !args.has("no-battery-cap");
-  options.lpWarmStarts = !args.has("no-lp-warm");
 
   const sim::ServingStats s = sim::runServing(machines, policy, options);
   if (!scenarioName.empty()) {
