@@ -471,6 +471,7 @@ FrOptResult solveFrOpt(const Instance& inst, const FrOptOptions& options) {
       result.refineStats.rounds += stats.rounds;
       result.refineStats.transfers += stats.transfers;
       result.refineStats.energyMoved += stats.energyMoved;
+      result.refineStats.donorChecks += stats.donorChecks;
       result.refineStats.slack.queries += stats.slack.queries;
       result.refineStats.slack.hits += stats.slack.hits;
       result.refineStats.slack.rebuilds += stats.slack.rebuilds;

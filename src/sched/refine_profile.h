@@ -41,6 +41,9 @@ struct RefineStats {
   int rounds = 0;
   long transfers = 0;
   double energyMoved = 0.0;  ///< total Joules re-allocated
+  /// Donor candidates the scan examined. Each one either transfers or ends
+  /// its grower's scan, so donorChecks <= transfers + slack.queries.
+  long donorChecks = 0;
   SlackCounters slack;       ///< slack-engine cache behaviour
 };
 

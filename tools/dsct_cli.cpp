@@ -40,7 +40,9 @@
 #include <limits>
 #include <map>
 #include <optional>
+#include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -61,12 +63,35 @@ struct Args {
     return it == options.end() ? fallback : it->second;
   }
   double getDouble(const std::string& key, double fallback) const {
-    const auto it = options.find(key);
-    return it == options.end() ? fallback : std::stod(it->second);
+    return getNumber(key, fallback, "a number", [](const std::string& text,
+                                                   std::size_t* used) {
+      return std::stod(text, used);
+    });
   }
   int getInt(const std::string& key, int fallback) const {
+    return getNumber(key, fallback, "an integer", [](const std::string& text,
+                                                     std::size_t* used) {
+      return std::stoi(text, used);
+    });
+  }
+
+ private:
+  /// The value of --key parsed by `parse`, which must consume the whole
+  /// token; anything else is an error naming the flag.
+  template <typename T, typename Parse>
+  T getNumber(const std::string& key, T fallback, const char* expected,
+              Parse parse) const {
     const auto it = options.find(key);
-    return it == options.end() ? fallback : std::stoi(it->second);
+    if (it == options.end()) return fallback;
+    std::size_t used = 0;
+    try {
+      const T value = parse(it->second, &used);
+      if (used == it->second.size()) return value;
+    } catch (const std::logic_error&) {
+      // invalid_argument or out_of_range: reported below.
+    }
+    throw std::invalid_argument("--" + key + ": expected " + expected +
+                                ", got '" + it->second + "'");
   }
 };
 
@@ -551,12 +576,45 @@ int cmdServe(const Args& args) {
   return 0;
 }
 
+/// The flags each subcommand takes; any other flag is rejected.
+const std::map<std::string, std::set<std::string>>& knownFlags() {
+  static const std::map<std::string, std::set<std::string>> flags{
+      {"solvers", {}},
+      {"generate",
+       {"tasks", "machines", "rho", "beta", "theta-min", "theta-max", "seed",
+        "out"}},
+      {"info", {"tasks"}},
+      {"solve", {"algo", "time-limit", "lp-engine", "out", "gantt"}},
+      {"validate", {}},
+      {"simulate", {"trace"}},
+      {"scenarios", {}},
+      {"serve",
+       {"scenario", "policy", "fallback", "gpus", "rate", "horizon", "epoch",
+        "budget", "seed", "backlog", "load-factor", "faults", "fault-seed",
+        "mtbf", "mttr", "slow-mtbf", "slow-mean", "slow-factor",
+        "shock-prob", "shock-factor", "max-retries", "epoch-time-limit",
+        "async", "incidents", "avail", "avail-seed", "depart-mtbf",
+        "depart-mean", "battery", "battery-init", "recharge",
+        "no-battery-cap", "incidents-csv", "shards", "shard-seed"}},
+  };
+  return flags;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string command = argv[1];
   const Args args = parseArgs(argc, argv);
+  const auto known = knownFlags().find(command);
+  if (known == knownFlags().end()) return usage();
+  for (const auto& [flag, value] : args.options) {
+    if (known->second.count(flag) == 0) {
+      std::cerr << "error: " << command << " does not take --" << flag
+                << '\n';
+      return usage();
+    }
+  }
   try {
     if (command == "solvers") return cmdSolvers(args);
     if (command == "generate") return cmdGenerate(args);
