@@ -9,6 +9,7 @@
 #include "sched/naive_solution.h"
 #include "sched/single_machine.h"
 #include "solver/simplex.h"
+#include "util/thread_pool.h"
 #include "workload/generator.h"
 
 namespace dsct {
@@ -68,8 +69,9 @@ void BM_FrOptParallel(benchmark::State& state) {
   // Parallel mode must reproduce the serial result bit for bit (pure
   // evaluations, index-ordered reductions); bail out loudly if it ever
   // diverges rather than timing a wrong computation.
+  ThreadPool pool(2);
   FrOptOptions options;
-  options.threads = 2;
+  options.pool = &pool;
   const double serialAccuracy = solveFrOpt(inst).totalAccuracy;
   if (solveFrOpt(inst, options).totalAccuracy != serialAccuracy) {
     state.SkipWithError("parallel accuracy diverged from serial");

@@ -20,8 +20,8 @@ namespace dsct {
 
 namespace {
 
-/// Rough memory estimate (bytes) of the working set the default (revised)
-/// simplex allocates for `model`: CSC column storage plus the per-row and
+/// Rough memory estimate (bytes) of the working set the revised simplex
+/// allocates for `model`: CSC column storage plus the per-row and
 /// per-column scratch vectors. Linear in nonzeros, not rows × cols — the
 /// old dense-tableau guard skipped exactly the large instances the sparse
 /// engine was built to reach, so the skip now only fires for models that

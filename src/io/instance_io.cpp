@@ -1,7 +1,9 @@
 #include "io/instance_io.h"
 
+#include <cmath>
 #include <fstream>
 #include <iomanip>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -53,16 +55,41 @@ double parseDouble(const std::string& token, int line) {
   DSCT_CHECK_MSG(consumed == token.size(),
                  "line " << line << ": trailing characters in '" << token
                          << "'");
+  DSCT_CHECK_MSG(std::isfinite(value),
+                 "line " << line << ": non-finite number '" << token << "'");
   return value;
 }
 
 int parseInt(const std::string& token, int line) {
   const double value = parseDouble(token, line);
-  const int asInt = static_cast<int>(value);
-  DSCT_CHECK_MSG(static_cast<double>(asInt) == value,
+  // Range and integrality first: casting an out-of-range double is UB.
+  DSCT_CHECK_MSG(value >= std::numeric_limits<int>::min() &&
+                     value <= std::numeric_limits<int>::max() &&
+                     std::trunc(value) == value,
                  "line " << line << ": expected integer, got '" << token
                          << "'");
-  return asInt;
+  return static_cast<int>(value);
+}
+
+/// The next record of a file whose records close with an `end` line:
+/// empty once `end` is read. A file that stops before `end` was truncated,
+/// and anything after `end` is rejected.
+std::vector<std::string> nextRecord(LineReader& reader) {
+  const int previous = reader.lineNumber();
+  std::vector<std::string> tokens = reader.next();
+  DSCT_CHECK_MSG(!tokens.empty(), "line " << previous
+                                          << ": file ends without an 'end' "
+                                             "line (truncated?)");
+  if (tokens[0] != "end") return tokens;
+  const int line = reader.lineNumber();
+  DSCT_CHECK_MSG(tokens.size() == 1,
+                 "line " << line << ": 'end' takes no arguments");
+  const std::vector<std::string> after = reader.next();
+  DSCT_CHECK_MSG(after.empty(), "line " << reader.lineNumber() << ": '"
+                                        << after[0]
+                                        << "' after 'end' (line " << line
+                                        << ")");
+  return {};
 }
 
 /// Names are written as single tokens; spaces are escaped as '\s'.
@@ -110,6 +137,7 @@ void writeInstance(std::ostream& os, const Instance& inst) {
     }
     os << '\n';
   }
+  os << "end\n";
 }
 
 void writeInstanceFile(const std::string& path, const Instance& inst) {
@@ -129,7 +157,8 @@ Instance readInstance(std::istream& is) {
   bool sawBudget = false;
   std::vector<Machine> machines;
   std::vector<Task> tasks;
-  for (auto tokens = reader.next(); !tokens.empty(); tokens = reader.next()) {
+  for (auto tokens = nextRecord(reader); !tokens.empty();
+       tokens = nextRecord(reader)) {
     const int line = reader.lineNumber();
     if (tokens[0] == "budget") {
       DSCT_CHECK_MSG(tokens.size() == 2, "line " << line << ": budget <J>");
@@ -187,6 +216,7 @@ void writeSchedule(std::ostream& os, const IntegralSchedule& schedule) {
     os << "assign " << j << ' ' << schedule.machineOf(j) << ' '
        << schedule.duration(j) << '\n';
   }
+  os << "end\n";
 }
 
 void writeScheduleFile(const std::string& path,
@@ -205,7 +235,9 @@ IntegralSchedule readSchedule(std::istream& is, const Instance& inst) {
                          << ": expected 'dsct-schedule v1' header");
   std::vector<int> machineOf(static_cast<std::size_t>(inst.numTasks()), -1);
   std::vector<double> duration(static_cast<std::size_t>(inst.numTasks()), 0.0);
-  for (auto tokens = reader.next(); !tokens.empty(); tokens = reader.next()) {
+  std::vector<int> assignedAt(static_cast<std::size_t>(inst.numTasks()), 0);
+  for (auto tokens = nextRecord(reader); !tokens.empty();
+       tokens = nextRecord(reader)) {
     const int line = reader.lineNumber();
     DSCT_CHECK_MSG(tokens.size() == 4 && tokens[0] == "assign",
                    "line " << line
@@ -213,6 +245,11 @@ IntegralSchedule readSchedule(std::istream& is, const Instance& inst) {
     const int task = parseInt(tokens[1], line);
     DSCT_CHECK_MSG(task >= 0 && task < inst.numTasks(),
                    "line " << line << ": task index out of range");
+    int& firstLine = assignedAt[static_cast<std::size_t>(task)];
+    DSCT_CHECK_MSG(firstLine == 0, "line " << line << ": task " << task
+                                           << " already assigned at line "
+                                           << firstLine);
+    firstLine = line;
     const int machine = parseInt(tokens[2], line);
     DSCT_CHECK_MSG(machine >= -1 && machine < inst.numMachines(),
                    "line " << line << ": machine index out of range");

@@ -5,10 +5,17 @@
 //   budget <J>
 //   machine <name> <speed_tflops> <efficiency_tflop_per_joule>
 //   task <name> <deadline_s> <numPoints> <f0> <a0> <f1> <a1> ...
+//   end
 //
 //   dsct-schedule v1
-//   assign <taskIndex> <machineIndex> <duration_s>   # one line per task;
-//                                                    # machineIndex -1 drops
+//   assign <taskIndex> <machineIndex> <duration_s>   # at most one line per
+//                                                    # task; machineIndex -1
+//                                                    # drops
+//   end
+//
+// The closing `end` line is required, so a truncated file is rejected rather
+// than read as a shorter instance; nothing may follow it. Numbers must be
+// finite.
 //
 // Task accuracy points are the piecewise-linear breakpoints (f in TFLOP,
 // a in [0,1], f0 == 0). Instances read back sorted by deadline, exactly as

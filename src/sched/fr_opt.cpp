@@ -1,7 +1,6 @@
 #include "sched/fr_opt.h"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -211,12 +210,7 @@ FrOptResult solveFrOpt(const Instance& inst, const FrOptOptions& options) {
       options.sharedCache != nullptr ? options.sharedCache->counters()
                                      : ProfileCacheCounters{};
 
-  std::unique_ptr<ThreadPool> ownedPool;
   ThreadPool* pool = options.pool;
-  if (pool == nullptr && options.threads > 0) {
-    ownedPool = std::make_unique<ThreadPool>(options.threads);
-    pool = ownedPool.get();
-  }
 
   NaiveSolution naive = computeNaiveSolution(inst);
   FrOptResult result{std::move(naive.schedule), std::move(naive.profile),

@@ -52,13 +52,12 @@ struct FrOptCounters {
 
 struct FrOptOptions {
   RefineOptions refine;
-  /// Worker threads for the independent profile evaluations (expansion
-  /// candidates, pairwise directions, derivative probes). 0 runs serially;
-  /// both modes produce bit-identical schedules — evaluations are pure
-  /// functions of their profile and all reductions are index-ordered.
-  std::size_t threads = 0;
-  /// Borrowed pool (overrides `threads`). Safe to pass the pool whose worker
-  /// is running this solve: the fan-out then executes inline.
+  /// Borrowed pool for the independent profile evaluations (expansion
+  /// candidates, pairwise directions, derivative probes); null runs
+  /// serially. Both modes produce bit-identical schedules — evaluations are
+  /// pure functions of their profile and all reductions are index-ordered.
+  /// Safe to pass the pool whose worker is running this solve: the fan-out
+  /// then executes inline.
   ThreadPool* pool = nullptr;
   /// Borrowed cross-solve evaluation cache (see profile_cache.h). Attaching
   /// one never changes the solution — shared hits are bit-identical to

@@ -63,9 +63,7 @@ RefineStats refineProfile(const Instance& inst, FractionalSchedule& schedule,
     flops[static_cast<std::size_t>(j)] = schedule.flops(inst, j);
   }
 
-  // Deadline slacks, served from the incremental engine (or the scratch scan
-  // when options.incrementalSlack is off — bit-identical either way).
-  SlackEngine slackEngine(inst, schedule, options.incrementalSlack);
+  SlackEngine slackEngine(inst, schedule);
 
   // Per-machine energy draw, tracked incrementally when caps are active so
   // growth never pushes a machine past its battery charge.
@@ -104,7 +102,7 @@ RefineStats refineProfile(const Instance& inst, FractionalSchedule& schedule,
         std::clamp(fj2 - shrink.fLo, 0.0, shrink.fHi - shrink.fLo);
     if (usedInSeg <= 1e-12) return false;
     eSub = std::min(usedInSeg / ms.efficiency, tShrink * ms.power());
-    return !(eSub <= options.tol);
+    return !(eSub <= kRefineTol);
   };
 
   std::vector<std::uint64_t> live((numPairs + 63) / 64, 0);
@@ -175,7 +173,7 @@ RefineStats refineProfile(const Instance& inst, FractionalSchedule& schedule,
                                     machineEnergy[static_cast<std::size_t>(
                                         grow.machine)]));
       }
-      if (eAdd <= options.tol) continue;
+      if (eAdd <= kRefineTol) continue;
 
       // Scan live donors from the cheapest ψ upward (paper line 9's reverse
       // iteration); stop once donors are no cheaper than the grower. Every
@@ -188,7 +186,7 @@ RefineStats refineProfile(const Instance& inst, FractionalSchedule& schedule,
       while (keptFrom > cheaper) evaluate(--keptFrom);
       const std::size_t stop = keptFrom > p ? keptFrom - 1 : p;
       for (std::size_t q = nextLiveDown(numPairs, stop);
-           q > stop && eAdd > options.tol; q = nextLiveDown(q, stop)) {
+           q > stop && eAdd > kRefineTol; q = nextLiveDown(q, stop)) {
         ++stats.donorChecks;
         const Pair& shrink = pairs[q];
         if (shrink.psi >= grow.psi - kPsiTol) break;

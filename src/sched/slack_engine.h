@@ -16,12 +16,13 @@
 // an invalidation.
 //
 // Bit-identity contract: slack() returns exactly what the scratch column
-// scan returns, bit for bit. The tree's leaves are filled from the same
-// left-to-right prefix summation the scan performs, the tree is only ever
-// rebuilt (never lazily shifted with suffixAdd, whose internal add chains
-// would re-associate the sums), and a suffix *minimum* over unmodified
-// leaves is exact in floating point. The differential harness in
-// tests/sched_slack_cache_test.cpp enforces this over the shared corpus.
+// scan (testing::ScratchSlack in tests/refine_reference.h) returns, bit for
+// bit. The tree's leaves are filled from the same left-to-right prefix
+// summation the scan performs, the tree is only ever rebuilt (never lazily
+// shifted with suffixAdd, whose internal add chains would re-associate the
+// sums), and a suffix *minimum* over unmodified leaves is exact in floating
+// point. The differential harness in tests/sched_slack_cache_test.cpp
+// enforces this over the shared corpus.
 #pragma once
 
 #include <cstdint>
@@ -44,17 +45,14 @@ struct SlackCounters {
 
 class SlackEngine {
  public:
-  /// `incremental` false forces the scratch column scan on every query —
-  /// the reference path the differential tests compare against.
-  SlackEngine(const Instance& inst, const FractionalSchedule& schedule,
-              bool incremental);
+  SlackEngine(const Instance& inst, const FractionalSchedule& schedule);
 
   SlackEngine(const SlackEngine&) = delete;
   SlackEngine& operator=(const SlackEngine&) = delete;
 
   /// Deadline slack of (task, machine): the largest amount by which
   /// t_{task,machine} can grow without violating any deadline at or after
-  /// `task` on `machine`. Bit-identical to the scratch scan in both modes.
+  /// `task` on `machine`. Bit-identical to the scratch scan.
   double slack(int task, int machine);
 
   /// Notify the engine that a transfer moved time between
@@ -65,12 +63,10 @@ class SlackEngine {
   const SlackCounters& counters() const { return counters_; }
 
  private:
-  double scratchSlack(int task, int machine) const;
   void rebuildMachine(int machine);
 
   const Instance& inst_;
   const FractionalSchedule& schedule_;
-  const bool incremental_;
 
   std::vector<SuffixSlackTree> trees_;          ///< one per machine
   std::vector<std::uint64_t> machineVersion_;   ///< bumped by onTransfer

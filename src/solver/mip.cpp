@@ -20,7 +20,7 @@ struct Node {
   int depth;
   /// Optimal basis of the parent's LP relaxation. A child differs from its
   /// parent by one bound change, so this basis is one dual step from the
-  /// child's optimum — the revised engine re-enters phase 2 from it instead
+  /// child's optimum — the LP engine re-enters phase 2 from it instead
   /// of re-running phase 1 at every node.
   LpBasis basis;
 };

@@ -49,7 +49,7 @@ struct MipResult {
   /// Summed LP telemetry over every node (and root-dive) LP solve.
   LpCounters lpCounters;
   /// Basis of the root relaxation's optimal LP (empty when the root LP did
-  /// not reach optimality or the dense engine ran). Feed back through
+  /// not reach optimality). Feed back through
   /// MipOptions::lp.warmBasis to warm-start a structurally identical model —
   /// e.g. the next serving epoch's instance after bound/RHS drift.
   LpBasis rootBasis;

@@ -24,27 +24,42 @@
 // that reached it. That is what makes "warm starts on" and "warm starts off"
 // bit-identical whenever both land on the same optimal basis
 // (tests/solver_warm_start_test.cpp pins this).
-#include "solver/revised_simplex.h"
-
 #include <algorithm>
 #include <cmath>
 #include <limits>
 #include <vector>
 
+#include "solver/simplex.h"
 #include "util/check.h"
 #include "util/timer.h"
 
-namespace dsct::lp::detail {
+namespace dsct::lp {
+
+const char* toString(SolveStatus status) {
+  switch (status) {
+    case SolveStatus::kOptimal: return "optimal";
+    case SolveStatus::kInfeasible: return "infeasible";
+    case SolveStatus::kUnbounded: return "unbounded";
+    case SolveStatus::kIterationLimit: return "iteration_limit";
+    case SolveStatus::kTimeLimit: return "time_limit";
+  }
+  return "unknown";
+}
 
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-/// Primal feasibility tolerance (matches the dense engine's kFeasTol).
+/// Primal feasibility tolerance.
 constexpr double kFeasTol = 1e-7;
 /// Smallest |pivot| accepted when factorising a basic column.
 constexpr double kFactorPivotTol = 1e-11;
 /// |alpha_i| below this cannot block the ratio test.
 constexpr double kRatioTol = 1e-9;
+/// Reduced-cost tolerance: a nonbasic column prices in only when its bound
+/// violation exceeds this.
+constexpr double kPricingTol = 1e-9;
+/// Eta-file length that triggers a periodic refactorisation.
+constexpr int kRefactorInterval = 64;
 /// Eta entries below this magnitude are dropped (sparsity vs exactness).
 constexpr double kEtaDropTol = 1e-12;
 /// Cancel/deadline poll cadence, in iterations (and refactor columns).
@@ -146,7 +161,6 @@ class RevisedSimplex {
   long iterations_ = 0;
   long maxIterations_ = 0;
   long blandThreshold_ = 0;
-  int refactorEvery_ = 64;
   int pricingCursor_ = 0;
   bool cancelledFlag_ = false;
   bool justRefactored_ = false;
@@ -285,7 +299,6 @@ void RevisedSimplex::build() {
                        ? options_.maxIterations
                        : 200L * (m_ + N_) + 20000L;
   blandThreshold_ = std::max<long>(2000, 20L * (m_ + N_));
-  refactorEvery_ = options_.refactorInterval > 0 ? options_.refactorInterval : 64;
 }
 
 void RevisedSimplex::coldStatuses() {
@@ -632,7 +645,7 @@ double RevisedSimplex::reducedCost(int phase, int j) const {
 }
 
 int RevisedSimplex::priceEntering(int phase, bool bland) {
-  const double tol = options_.tol;
+  const double tol = kPricingTol;
   const auto violation = [&](int j, double d) -> double {
     switch (status_[static_cast<std::size_t>(j)]) {
       case BasisStatus::kAtLower: return -d;
@@ -685,7 +698,7 @@ bool RevisedSimplex::dualFeasible() {
   computePhaseCosts(2);
   std::copy(cb_.begin(), cb_.end(), y_.begin());
   btran(y_);
-  const double tol = 10.0 * options_.tol;
+  const double tol = 10.0 * kPricingTol;
   for (int j = 0; j < N_; ++j) {
     if (status_[static_cast<std::size_t>(j)] == BasisStatus::kBasic) continue;
     if (lower_[static_cast<std::size_t>(j)] ==
@@ -720,7 +733,7 @@ SolveStatus RevisedSimplex::runPhase(int phase) {
       return SolveStatus::kOptimal;  // feasible: phase 1 is done
     }
     if (etas_.size() - etasAtRefactor_ >=
-        static_cast<std::size_t>(refactorEvery_)) {
+        static_cast<std::size_t>(kRefactorInterval)) {
       if (!refactorAndRecompute()) return SolveStatus::kTimeLimit;
       continue;  // values refreshed; re-enter with clean state
     }
@@ -979,13 +992,23 @@ LpResult RevisedSimplex::run() {
 
 }  // namespace
 
-LpResult solveLpRevised(const Model& model, std::span<const double> lower,
-                        std::span<const double> upper,
-                        const LpOptions& options) {
+LpResult solveLpWithBounds(const Model& model, std::span<const double> lower,
+                           std::span<const double> upper,
+                           const LpOptions& options) {
   DSCT_CHECK(static_cast<int>(lower.size()) == model.numVariables());
   DSCT_CHECK(static_cast<int>(upper.size()) == model.numVariables());
   RevisedSimplex engine(model, lower, upper, options);
   return engine.run();
 }
 
-}  // namespace dsct::lp::detail
+LpResult solveLp(const Model& model, const LpOptions& options) {
+  std::vector<double> lower(static_cast<std::size_t>(model.numVariables()));
+  std::vector<double> upper(static_cast<std::size_t>(model.numVariables()));
+  for (int j = 0; j < model.numVariables(); ++j) {
+    lower[static_cast<std::size_t>(j)] = model.variable(j).lower;
+    upper[static_cast<std::size_t>(j)] = model.variable(j).upper;
+  }
+  return solveLpWithBounds(model, lower, upper, options);
+}
+
+}  // namespace dsct::lp

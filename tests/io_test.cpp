@@ -76,7 +76,8 @@ TEST(InstanceIo, CommentsAndBlankLinesIgnored) {
       "\n"
       "budget 10.0   # trailing comment\n"
       "machine m0 2.0 0.05\n"
-      "task t0 1.5 2 0 0.1 3 0.9\n");
+      "task t0 1.5 2 0 0.1 3 0.9\n"
+      "end\n");
   const Instance inst = io::readInstance(in);
   EXPECT_EQ(inst.numTasks(), 1);
   EXPECT_DOUBLE_EQ(inst.energyBudget(), 10.0);
@@ -84,20 +85,50 @@ TEST(InstanceIo, CommentsAndBlankLinesIgnored) {
 }
 
 TEST(InstanceIo, RejectsMalformedInput) {
-  const auto expectReject = [](const std::string& text) {
+  // Each input is rejected with a CheckError whose message contains
+  // `names` (the offending line, where there is one).
+  const auto expectReject = [](const std::string& text,
+                               const std::string& names = "") {
     std::stringstream in(text);
-    EXPECT_THROW(io::readInstance(in), CheckError) << text;
+    try {
+      io::readInstance(in);
+      ADD_FAILURE() << "accepted:\n" << text;
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find(names), std::string::npos)
+          << e.what();
+    }
   };
-  expectReject("not-a-header\nbudget 1\n");
-  expectReject("dsct-instance v2\nbudget 1\n");
-  expectReject("dsct-instance v1\nmachine m0 1.0 0.01\n");  // no budget
-  expectReject("dsct-instance v1\nbudget 1\nmachine m0 1.0\n");
+  expectReject("not-a-header\nbudget 1\nend\n");
+  expectReject("dsct-instance v2\nbudget 1\nend\n");
+  expectReject("dsct-instance v1\nmachine m0 1.0 0.01\nend\n");  // no budget
+  expectReject("dsct-instance v1\nbudget 1\nmachine m0 1.0\nend\n");
   expectReject("dsct-instance v1\nbudget 1\nmachine m0 1.0 0.01\n"
-               "task t0 1.0 2 0 0.1\n");  // too few coordinates
-  expectReject("dsct-instance v1\nbudget abc\nmachine m0 1.0 0.01\n");
-  expectReject("dsct-instance v1\nbudget 1\nfrobnicate x\n");
+               "task t0 1.0 2 0 0.1\nend\n");  // too few coordinates
+  expectReject("dsct-instance v1\nbudget abc\nmachine m0 1.0 0.01\nend\n");
+  expectReject("dsct-instance v1\nbudget 1\nfrobnicate x\nend\n");
   expectReject("dsct-instance v1\nbudget 1\nmachine m0 1.0 0.01\n"
-               "task t0 1.0 2 0 0.9 3 0.1\n");  // decreasing accuracy
+               "task t0 1.0 2 0 0.9 3 0.1\nend\n");  // decreasing accuracy
+  // Truncated: cut off before the closing `end`, even mid-file.
+  expectReject("dsct-instance v1\nbudget 1\nmachine m0 1.0 0.01\n",
+               "line 3: file ends without an 'end' line");
+  expectReject("dsct-instance v1\nbudget 1\n", "line 2: file ends");
+  // Nothing may follow `end`.
+  expectReject("dsct-instance v1\nbudget 1\nend\nmachine m0 1.0 0.01\n",
+               "line 4: 'machine' after 'end' (line 3)");
+  expectReject("dsct-instance v1\nbudget 1\nend now\n",
+               "line 3: 'end' takes no arguments");
+  // Non-finite numbers are rejected where they are read.
+  expectReject("dsct-instance v1\nbudget 1\nmachine m0 nan 0.01\nend\n",
+               "line 3: non-finite number 'nan'");
+  expectReject("dsct-instance v1\nbudget inf\nend\n",
+               "line 2: non-finite number 'inf'");
+  // Integer fields are range-checked before conversion.
+  expectReject("dsct-instance v1\nbudget 1\nmachine m0 1.0 0.01\n"
+               "task t0 1.0 1e10 0 0.1 3 0.9\nend\n",
+               "line 4: expected integer, got '1e10'");
+  expectReject("dsct-instance v1\nbudget 1\nmachine m0 1.0 0.01\n"
+               "task t0 1.0 2.5 0 0.1 3 0.9\nend\n",
+               "line 4: expected integer, got '2.5'");
 }
 
 TEST(InstanceIo, GarbageInputsThrowCleanly) {
@@ -147,12 +178,33 @@ TEST(ScheduleIo, RoundTrip) {
 
 TEST(ScheduleIo, RejectsBadIndices) {
   const Instance inst = tinyInstance();
-  std::stringstream bad1("dsct-schedule v1\nassign 7 0 1.0\n");
-  EXPECT_THROW(io::readSchedule(bad1, inst), CheckError);
-  std::stringstream bad2("dsct-schedule v1\nassign 0 9 1.0\n");
-  EXPECT_THROW(io::readSchedule(bad2, inst), CheckError);
-  std::stringstream bad3("dsct-schedule v1\nassign 0 0\n");
-  EXPECT_THROW(io::readSchedule(bad3, inst), CheckError);
+  const auto expectReject = [&inst](const std::string& text,
+                                    const std::string& names = "") {
+    std::stringstream in(text);
+    try {
+      io::readSchedule(in, inst);
+      ADD_FAILURE() << "accepted:\n" << text;
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find(names), std::string::npos)
+          << e.what();
+    }
+  };
+  expectReject("dsct-schedule v1\nassign 7 0 1.0\nend\n");
+  expectReject("dsct-schedule v1\nassign 0 9 1.0\nend\n");
+  expectReject("dsct-schedule v1\nassign 0 0\nend\n");
+  // Out-of-int-range and NaN indices are rejected before any conversion.
+  expectReject("dsct-schedule v1\nassign 0 1e10 0.1\nend\n",
+               "line 2: expected integer, got '1e10'");
+  expectReject("dsct-schedule v1\nassign nan 0 0.1\nend\n",
+               "line 2: non-finite number 'nan'");
+  // A second assign for one task names both lines.
+  expectReject("dsct-schedule v1\nassign 0 0 0.1\nassign 0 1 0.1\nend\n",
+               "line 3: task 0 already assigned at line 2");
+  // Truncated before `end`, and records after it.
+  expectReject("dsct-schedule v1\nassign 0 0 0.1\n",
+               "line 2: file ends without an 'end' line");
+  expectReject("dsct-schedule v1\nend\nassign 0 0 0.1\n",
+               "line 3: 'assign' after 'end' (line 2)");
 }
 
 TEST(ScheduleIo, FullPipelineThroughFiles) {

@@ -11,9 +11,15 @@
 // pair position the walk visits, and `revivals` counts donations by a pair
 // the walk had found dead earlier in the same round — the case the bitset's
 // per-task refresh exists for.
+//
+// The walk takes its deadline slacks from a slack source type: production's
+// SlackEngine (the default), or ScratchSlack below — the O(n) column scan
+// that SlackEngine's memo and suffix trees must reproduce bit for bit
+// (tests/sched_slack_cache_test.cpp).
 #pragma once
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "sched/refine_profile.h"
@@ -21,14 +27,46 @@
 
 namespace dsct::testing {
 
+/// Deadline slack by a scratch scan of the machine column on every query:
+/// sequential prefix sums, early exit at the first exhausted slack. Counts
+/// queries only; it has no memo to hit and no column to rebuild.
+class ScratchSlack {
+ public:
+  ScratchSlack(const Instance& inst, const FractionalSchedule& schedule)
+      : inst_(inst), schedule_(schedule) {}
+
+  double slack(int task, int machine) {
+    ++counters_.queries;
+    double prefix = 0.0;
+    for (int i = 0; i < task; ++i) prefix += schedule_.at(i, machine);
+    double slack = std::numeric_limits<double>::infinity();
+    for (int i = task; i < inst_.numTasks(); ++i) {
+      prefix += schedule_.at(i, machine);
+      slack = std::min(slack, inst_.task(i).deadline - prefix);
+      if (slack <= 0.0) return 0.0;
+    }
+    return slack;
+  }
+
+  void onTransfer(int /*growMachine*/, int /*shrinkMachine*/) {}
+
+  const SlackCounters& counters() const { return counters_; }
+
+ private:
+  const Instance& inst_;
+  const FractionalSchedule& schedule_;
+  SlackCounters counters_;
+};
+
 struct ReferenceRefine {
   RefineStats stats;
   long revivals = 0;
 };
 
-inline ReferenceRefine referenceRefineProfile(
-    const Instance& inst, FractionalSchedule& schedule,
-    const RefineOptions& options = {}) {
+template <typename SlackSource = SlackEngine>
+ReferenceRefine referenceRefineProfile(const Instance& inst,
+                                       FractionalSchedule& schedule,
+                                       const RefineOptions& options = {}) {
   struct Pair {
     int task;
     int segment;
@@ -69,7 +107,7 @@ inline ReferenceRefine referenceRefineProfile(
     flops[static_cast<std::size_t>(j)] = schedule.flops(inst, j);
   }
 
-  SlackEngine slackEngine(inst, schedule, options.incrementalSlack);
+  SlackSource slackEngine(inst, schedule);
 
   const std::vector<double>* caps = options.machineEnergyCaps;
   std::vector<double> machineEnergy;
@@ -103,9 +141,9 @@ inline ReferenceRefine referenceRefineProfile(
                                     machineEnergy[static_cast<std::size_t>(
                                         grow.machine)]));
       }
-      if (eAdd <= options.tol) continue;
+      if (eAdd <= kRefineTol) continue;
 
-      for (std::size_t q = pairs.size(); q-- > p + 1 && eAdd > options.tol;) {
+      for (std::size_t q = pairs.size(); q-- > p + 1 && eAdd > kRefineTol;) {
         ++stats.donorChecks;
         const Pair& shrink = pairs[q];
         if (shrink.psi >= grow.psi - kPsiTol) break;
@@ -125,7 +163,7 @@ inline ReferenceRefine referenceRefineProfile(
         const double eSub =
             std::min(usedInSeg / ms.efficiency, tShrink * ms.power());
         const double eTransfer = std::min(eAdd, eSub);
-        if (eTransfer <= options.tol) {
+        if (eTransfer <= kRefineTol) {
           seenDead[q] = 1;
           continue;
         }

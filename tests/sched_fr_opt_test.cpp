@@ -198,8 +198,9 @@ TEST(FrOpt, ParallelMatchesSerialBitwise) {
                                          8 + 2 * rep, 2 + rep % 3,
                                          0.3, 0.5, 0.1, 2.0);
     const FrOptResult serial = solveFrOpt(inst, FrOptOptions{});
+    ThreadPool pool(3);
     FrOptOptions parOptions;
-    parOptions.threads = 3;
+    parOptions.pool = &pool;
     const FrOptResult parallel = solveFrOpt(inst, parOptions);
 
     EXPECT_EQ(serial.totalAccuracy, parallel.totalAccuracy) << "rep " << rep;

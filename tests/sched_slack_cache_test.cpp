@@ -4,10 +4,12 @@
 // The incremental engine (sched/slack_engine.h) replaces the per-candidate
 // O(n) deadline-slack scan with a (task, machine) memo over per-machine
 // suffix-min trees, invalidated by per-machine version counters. Its whole
-// contract is bit-identity: over the shared corpus (tests/test_support.h —
-// loose and tight budgets, strict deadlines, zero-slope degenerate tasks,
-// horizon-bound profiles) every refined schedule entry, objective, and
-// shared counter must equal the forced-scratch run bit for bit. The same
+// contract is bit-identity with that scan (testing::ScratchSlack in
+// tests/refine_reference.h): query by query on a live schedule, and over
+// the shared corpus (tests/test_support.h — loose and tight budgets, strict
+// deadlines, zero-slope degenerate tasks, horizon-bound profiles), where
+// every schedule entry, objective, and shared counter of production refine
+// must equal the reference walk over scratch slacks bit for bit. The same
 // harness pins the cross-solve cache (attaching one never changes a solve)
 // and a golden FR-OPT objective on a mid-size corpus instance.
 #include <gtest/gtest.h>
@@ -17,6 +19,7 @@
 #include "sched/profile_cache.h"
 #include "sched/refine_profile.h"
 #include "sched/slack_engine.h"
+#include "tests/refine_reference.h"
 #include "tests/test_support.h"
 #include "util/rng.h"
 
@@ -26,21 +29,25 @@ namespace {
 using testing::corpusInstance;
 using testing::goldenMidSizeInstance;
 using testing::kCorpusRegimes;
+using testing::referenceRefineProfile;
+using testing::ScratchSlack;
 
 constexpr int kDifferentialCases = 120;  ///< ≥ 100 seeds (acceptance floor)
 
-/// Refine a fresh naive solution with the given slack mode.
 struct RefineRun {
   FractionalSchedule schedule;
   RefineStats stats;
 };
 
+/// Refine a fresh naive solution: production refine over its incremental
+/// slack engine, or the reference walk over scratch slack scans.
 RefineRun refineWith(const Instance& inst, bool incremental) {
   NaiveSolution naive = computeNaiveSolution(inst);
-  RefineOptions options;
-  options.incrementalSlack = incremental;
   RefineRun run{std::move(naive.schedule), {}};
-  run.stats = refineProfile(inst, run.schedule, options);
+  run.stats =
+      incremental
+          ? refineProfile(inst, run.schedule)
+          : referenceRefineProfile<ScratchSlack>(inst, run.schedule).stats;
   return run;
 }
 
@@ -89,46 +96,17 @@ TEST(SlackCacheDifferential, RefineBitIdenticalAcrossCorpus) {
   EXPECT_GT(totalTransfers, 0);
 }
 
-TEST(SlackCacheDifferential, FullSolveBitIdentical) {
-  // End-to-end FR-OPT (expansion, refine, pair search, direction search)
-  // with the incremental engine vs forced scratch slacks.
-  for (int c = 0; c < 2 * kCorpusRegimes; ++c) {
-    const Instance inst =
-        corpusInstance(deriveSeed(777u, static_cast<std::uint64_t>(c)), c);
-    FrOptOptions incremental;
-    incremental.refine.incrementalSlack = true;
-    FrOptOptions scratch;
-    scratch.refine.incrementalSlack = false;
-    const FrOptResult a = solveFrOpt(inst, incremental);
-    const FrOptResult b = solveFrOpt(inst, scratch);
-    EXPECT_EQ(a.totalAccuracy, b.totalAccuracy) << "case " << c;
-    EXPECT_EQ(a.energy, b.energy) << "case " << c;
-    ASSERT_EQ(a.refinedProfile.size(), b.refinedProfile.size());
-    for (std::size_t r = 0; r < a.refinedProfile.size(); ++r) {
-      EXPECT_EQ(a.refinedProfile[r], b.refinedProfile[r])
-          << "case " << c << " machine " << r;
-    }
-    for (int j = 0; j < inst.numTasks(); ++j) {
-      for (int r = 0; r < inst.numMachines(); ++r) {
-        EXPECT_EQ(a.schedule.at(j, r), b.schedule.at(j, r)) << "case " << c;
-      }
-    }
-    EXPECT_EQ(a.counters.slackQueries, b.counters.slackQueries)
-        << "case " << c;
-  }
-}
-
 TEST(SlackCacheDifferential, SlackEngineMatchesScratchQueryByQuery) {
   // Unit-level differential: interleave queries and transfers, comparing the
-  // engine against a scratch engine on the same live schedule after every
+  // engine against the scratch scan on the same live schedule after every
   // mutation.
   for (int c = 0; c < 3 * kCorpusRegimes; ++c) {
     const Instance inst =
         corpusInstance(deriveSeed(31337u, static_cast<std::uint64_t>(c)), c);
     NaiveSolution naive = computeNaiveSolution(inst);
     FractionalSchedule& schedule = naive.schedule;
-    SlackEngine fast(inst, schedule, true);
-    SlackEngine slow(inst, schedule, false);
+    SlackEngine fast(inst, schedule);
+    ScratchSlack slow(inst, schedule);
     Rng rng(deriveSeed(4242u, static_cast<std::uint64_t>(c)));
     const int n = inst.numTasks();
     const int m = inst.numMachines();

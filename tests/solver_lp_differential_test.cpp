@@ -1,9 +1,9 @@
 // LP differential battery: the sparse revised simplex against the dense
 // tableau it replaced.
 //
-// The dense engine (LpEngine::kDense) is retained exactly as the reference
-// oracle for this file. Every case solves the same model through both
-// engines and asserts:
+// The dense engine lives on, unchanged, only as this file's reference
+// oracle (tests/lp_dense_reference.h). Every case solves the same model
+// through both engines and asserts:
 //
 //   - identical solve status,
 //   - objective agreement to 1e-9 (relative, anchored at 1),
@@ -33,6 +33,7 @@
 
 #include "mipmodel/dsct_lp.h"
 #include "solver/model.h"
+#include "tests/lp_dense_reference.h"
 #include "tests/test_support.h"
 #include "util/rng.h"
 
@@ -42,10 +43,12 @@ namespace {
 constexpr double kObjTol = 1e-9;   // issue-mandated differential tolerance
 constexpr double kFeasTol = 1e-6;  // primal feasibility / binding check
 
+/// The engine under test and its reference oracle.
+enum class LpEngine { kRevised, kDense };
+
 LpResult solveWith(const Model& model, LpEngine engine) {
-  LpOptions options;
-  options.engine = engine;
-  return solveLp(model, options);
+  return engine == LpEngine::kDense ? dense::solveLpDense(model)
+                                    : solveLp(model);
 }
 
 /// Row activity a_i^T x.
@@ -198,11 +201,9 @@ TEST(LpDifferential, RandomGeneralLps) {
 }
 
 // ---- Golden corpus objectives: the oracle duty, frozen -------------------
-// The dense tableau's only remaining job is to be this file's reference
-// oracle. The table below freezes the revised engine's corpus objectives to
-// 17 significant digits so the regression signal survives the dense
-// engine's retirement: a future revised-simplex change that shifts any
-// objective fails here directly, no second engine needed.
+// The table below freezes the revised engine's corpus objectives to 17
+// significant digits, so a future revised-simplex change that shifts any
+// objective fails here directly, without consulting the dense reference.
 //
 // Regenerate after an intentional numeric change with:
 //   DSCT_REGEN_LP_GOLDEN=1 ./solver_lp_differential_test \

@@ -1,6 +1,6 @@
-# `dsct_cli` flag checks: every subcommand rejects a flag it does not take,
-# and a numeric flag must parse as a whole token. Each case exits 1 with an
-# error naming the flag.
+# `dsct_cli` flag checks: every subcommand rejects a flag it does not take
+# or that is given twice, and a numeric flag must parse as a whole token.
+# Each case exits 1 with an error naming the flag.
 function(expect_rejected flag)
   string(JOIN " " args ${ARGN})
   execute_process(COMMAND ${CLI} ${ARGN} RESULT_VARIABLE code
@@ -21,9 +21,10 @@ if(NOT code EQUAL 0)
   message(FATAL_ERROR "generate failed (${code})")
 endif()
 
-# Unknown flags, including the removed --no-lp-warm.
+# Unknown flags, including the removed --no-lp-warm and --lp-engine.
 expect_rejected(--bogus serve --bogus 1)
 expect_rejected(--no-lp-warm serve --horizon 1 --no-lp-warm)
+expect_rejected(--lp-engine solve ${inst} --lp-engine dense)
 expect_rejected(--bogus solve ${inst} --bogus)
 expect_rejected(--frobnicate generate --tasks 4 --out ${WORKDIR}/unused.json
                 --frobnicate)
@@ -31,6 +32,9 @@ expect_rejected(--trace info ${inst} --trace)
 expect_rejected(--out validate ${inst} ${inst} --out x)
 # A flag valid for one subcommand is unknown to another.
 expect_rejected(--algo serve --algo approx)
+
+# A flag given twice is an error, not last-wins.
+expect_rejected(--seed serve --seed 1 --seed 2 --horizon 1)
 
 # Numbers must consume the whole token.
 expect_rejected(--rate serve --rate abc)

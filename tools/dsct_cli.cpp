@@ -101,10 +101,11 @@ Args parseArgs(int argc, char** argv) {
     const std::string token = argv[i];
     if (token.rfind("--", 0) == 0) {
       const std::string key = token.substr(2);
-      if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        args.options[key] = argv[++i];
-      } else {
-        args.options[key] = "1";  // boolean flag
+      const bool hasValue =
+          i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0;
+      const std::string value = hasValue ? argv[++i] : "1";  // "1": boolean
+      if (!args.options.emplace(key, value).second) {
+        throw std::invalid_argument("--" + key + " given more than once");
       }
     } else {
       args.positional.push_back(token);
@@ -120,7 +121,7 @@ int usage() {
       "  dsct_cli generate --tasks N --machines M [--rho R] [--beta B]\n"
       "           [--theta-min T] [--theta-max T] [--seed S] --out FILE\n"
       "  dsct_cli solve INSTANCE [--algo NAME] [--time-limit SEC]\n"
-      "           [--lp-engine revised|dense] [--out SCHEDULE] [--gantt]\n"
+      "           [--out SCHEDULE] [--gantt]\n"
       "  dsct_cli info INSTANCE [--tasks]\n"
       "  dsct_cli validate INSTANCE SCHEDULE\n"
       "  dsct_cli simulate INSTANCE SCHEDULE [--trace]\n"
@@ -225,15 +226,6 @@ int cmdSolve(const Args& args) {
   SolveContext context;
   context.mip.timeLimitSeconds = args.getDouble("time-limit", 60.0);
   context.lp.timeLimitSeconds = args.getDouble("time-limit", -1.0);
-  const std::string engine = args.get("lp-engine", "revised");
-  if (engine == "dense") {
-    context.lp.engine = lp::LpEngine::kDense;
-    context.mip.lp.engine = lp::LpEngine::kDense;
-  } else if (engine != "revised") {
-    std::cerr << "unknown --lp-engine '" << engine
-              << "' (expected revised|dense)\n";
-    return usage();
-  }
   const SolveOutcome outcome = solver->solve(inst, context);
   if (outcome.lpCounters.pivots > 0) {
     std::cout << "lp pivots      : " << outcome.lpCounters.pivots << " ("
@@ -584,7 +576,7 @@ const std::map<std::string, std::set<std::string>>& knownFlags() {
        {"tasks", "machines", "rho", "beta", "theta-min", "theta-max", "seed",
         "out"}},
       {"info", {"tasks"}},
-      {"solve", {"algo", "time-limit", "lp-engine", "out", "gantt"}},
+      {"solve", {"algo", "time-limit", "out", "gantt"}},
       {"validate", {}},
       {"simulate", {"trace"}},
       {"scenarios", {}},
@@ -605,17 +597,17 @@ const std::map<std::string, std::set<std::string>>& knownFlags() {
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string command = argv[1];
-  const Args args = parseArgs(argc, argv);
   const auto known = knownFlags().find(command);
   if (known == knownFlags().end()) return usage();
-  for (const auto& [flag, value] : args.options) {
-    if (known->second.count(flag) == 0) {
-      std::cerr << "error: " << command << " does not take --" << flag
-                << '\n';
-      return usage();
-    }
-  }
   try {
+    const Args args = parseArgs(argc, argv);
+    for (const auto& [flag, value] : args.options) {
+      if (known->second.count(flag) == 0) {
+        std::cerr << "error: " << command << " does not take --" << flag
+                  << '\n';
+        return usage();
+      }
+    }
     if (command == "solvers") return cmdSolvers(args);
     if (command == "generate") return cmdGenerate(args);
     if (command == "info") return cmdInfo(args);
