@@ -111,12 +111,13 @@ int main() {
                "queries).\n";
 
   // --- Cross-solve cache ablation -------------------------------------------
-  // FR-OPT with the sharded cross-solve ProfileCache in parallel cached mode:
-  // a cold solve populates the cache, a warm re-solve reuses it. Results are
-  // bit-identical either way (tests/sched_concurrent_cache_test.cpp); the
-  // shard-hit and contention columns show how the concurrent reads behave.
+  // FR-OPT with the sharded cross-solve ProfileCache on a pool, whose workers
+  // read the cache concurrently: a cold solve populates the cache, a warm
+  // re-solve reuses it. Results are bit-identical either way
+  // (tests/sched_concurrent_cache_test.cpp); the shard-hit and contention
+  // columns show how the concurrent reads behave.
   bench::printHeader("Ablation — cross-solve profile cache, cold vs warm",
-                     "Sharded ProfileCache + parallel cached evaluation");
+                     "Sharded ProfileCache + pooled evaluation");
   const std::vector<int> cacheSizes = bench::fullScale()
                                           ? std::vector<int>{100, 200, 400}
                                           : std::vector<int>{60, 120};
@@ -143,7 +144,6 @@ int main() {
     FrOptOptions opts;
     opts.sharedCache = &cache;
     opts.pool = &cachePool;
-    opts.parallelCachedEval = true;
 
     Stopwatch coldWatch;
     solveFrOpt(inst, opts);

@@ -54,7 +54,7 @@ struct SolverCapabilities {
   bool fractional = false;
   /// Honours SolveContext::frOpt.sharedCache (cross-solve ProfileCache).
   bool usesProfileCache = false;
-  /// Honours SolveContext::frOpt.pool / parallelCachedEval.
+  /// Honours SolveContext::frOpt.pool.
   bool usesThreadPool = false;
   /// Exact method (MIP / LP) rather than an approximation or heuristic.
   bool exact = false;
@@ -74,13 +74,6 @@ struct SolverCapabilities {
   /// still run under availability — the serving loop cuts over-assigned
   /// machines at execution time — but cannot avoid the exhaustion spill.
   bool availabilityAware = false;
-  /// Honours SolveContext::energyPrice: under a price λ >= 0 the solver caps
-  /// its energy appetite at the λ-priced demand — the energy whose marginal
-  /// accuracy-per-Joule ψ exceeds λ (DESIGN.md §18). The shard coordinator
-  /// uses this to make per-cell solves consistent with the outer price loop;
-  /// a negative price (the default) leaves the solve bit-identical to one
-  /// without this field.
-  bool priceGuided = false;
 };
 
 /// Per-epoch availability hints for capability-gated solvers (DESIGN.md
@@ -105,8 +98,8 @@ struct LpWarmStartSlot {
 /// Shared per-call configuration, threaded through every dispatch layer
 /// instead of each one re-plumbing options ad hoc.
 struct SolveContext {
-  /// Refine options, worker pool, cross-solve ProfileCache, parallel cached
-  /// evaluation — consumed by the approx / fr-opt solvers.
+  /// Refine options, worker pool, cross-solve ProfileCache — consumed by
+  /// the approx / fr-opt solvers.
   FrOptOptions frOpt;
   /// Branch-and-bound options (time limit, node limit) for the MIP solvers.
   lp::MipOptions mip;
@@ -128,8 +121,8 @@ struct SolveContext {
   LpWarmStartSlot* lpWarm = nullptr;
   /// Lagrangian energy price λ (accuracy per Joule) from the shard
   /// coordinator's outer loop (DESIGN.md §18). Negative (the default) means
-  /// unpriced; only solvers whose capabilities declare `priceGuided` read
-  /// it. A priced solve caps its effective budget at
+  /// unpriced; approx and fr-opt read it, the other solvers ignore it. A
+  /// priced solve caps its effective budget at
   /// min(B, pricedEnergyDemand(inst, λ)) — energy whose marginal accuracy
   /// rate falls below λ is left unspent for other cells.
   double energyPrice = -1.0;

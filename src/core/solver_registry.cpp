@@ -67,7 +67,7 @@ FrOptOptions frOptWithCancel(const SolveContext& context) {
   return options;
 }
 
-/// SolveContext::energyPrice for price-guided solvers: under a price λ >= 0
+/// SolveContext::energyPrice for the approx / fr-opt solvers: under λ >= 0
 /// the instance's budget is capped at the λ-priced energy demand (the shard
 /// coordinator's outer loop, DESIGN.md §18). Returns nullopt — solve the
 /// instance unchanged — when no price is set or the demand already exceeds
@@ -193,7 +193,6 @@ SolverRegistry::SolverRegistry() {
   approxCaps.usesProfileCache = true;
   approxCaps.usesThreadPool = true;
   approxCaps.availabilityAware = true;  // honours per-machine energy caps
-  approxCaps.priceGuided = true;
   add(makeSolver(
           "approx", "DSCT-EA-Approx", approxCaps,
           [](const Instance& inst, const SolveContext& context) {
@@ -221,7 +220,6 @@ SolverRegistry::SolverRegistry() {
   frOptCaps.usesProfileCache = true;
   frOptCaps.usesThreadPool = true;
   frOptCaps.availabilityAware = true;  // honours per-machine energy caps
-  frOptCaps.priceGuided = true;
   add(makeSolver(
           "fr-opt", "DSCT-EA-FR-OPT", frOptCaps,
           [](const Instance& inst, const SolveContext& context) {

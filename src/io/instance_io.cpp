@@ -10,6 +10,17 @@
 
 #include "util/check.h"
 
+// A malformed-input check: on failure throws CheckError with `msg` alone,
+// without the expression text and source location DSCT_CHECK_MSG adds.
+#define DSCT_IO_ENSURE(expr, msg)                \
+  do {                                           \
+    if (!(expr)) {                               \
+      std::ostringstream os_;                    \
+      os_ << msg;                                \
+      throw ::dsct::CheckError(os_.str());       \
+    }                                            \
+  } while (0)
+
 namespace dsct::io {
 
 namespace {
@@ -49,13 +60,13 @@ double parseDouble(const std::string& token, int line) {
   try {
     value = std::stod(token, &consumed);
   } catch (const std::exception&) {
-    DSCT_CHECK_MSG(false, "line " << line << ": expected number, got '"
+    DSCT_IO_ENSURE(false, "line " << line << ": expected number, got '"
                                   << token << "'");
   }
-  DSCT_CHECK_MSG(consumed == token.size(),
+  DSCT_IO_ENSURE(consumed == token.size(),
                  "line " << line << ": trailing characters in '" << token
                          << "'");
-  DSCT_CHECK_MSG(std::isfinite(value),
+  DSCT_IO_ENSURE(std::isfinite(value),
                  "line " << line << ": non-finite number '" << token << "'");
   return value;
 }
@@ -63,7 +74,7 @@ double parseDouble(const std::string& token, int line) {
 int parseInt(const std::string& token, int line) {
   const double value = parseDouble(token, line);
   // Range and integrality first: casting an out-of-range double is UB.
-  DSCT_CHECK_MSG(value >= std::numeric_limits<int>::min() &&
+  DSCT_IO_ENSURE(value >= std::numeric_limits<int>::min() &&
                      value <= std::numeric_limits<int>::max() &&
                      std::trunc(value) == value,
                  "line " << line << ": expected integer, got '" << token
@@ -77,15 +88,15 @@ int parseInt(const std::string& token, int line) {
 std::vector<std::string> nextRecord(LineReader& reader) {
   const int previous = reader.lineNumber();
   std::vector<std::string> tokens = reader.next();
-  DSCT_CHECK_MSG(!tokens.empty(), "line " << previous
+  DSCT_IO_ENSURE(!tokens.empty(), "line " << previous
                                           << ": file ends without an 'end' "
                                              "line (truncated?)");
   if (tokens[0] != "end") return tokens;
   const int line = reader.lineNumber();
-  DSCT_CHECK_MSG(tokens.size() == 1,
+  DSCT_IO_ENSURE(tokens.size() == 1,
                  "line " << line << ": 'end' takes no arguments");
   const std::vector<std::string> after = reader.next();
-  DSCT_CHECK_MSG(after.empty(), "line " << reader.lineNumber() << ": '"
+  DSCT_IO_ENSURE(after.empty(), "line " << reader.lineNumber() << ": '"
                                         << after[0]
                                         << "' after 'end' (line " << line
                                         << ")");
@@ -149,7 +160,7 @@ void writeInstanceFile(const std::string& path, const Instance& inst) {
 Instance readInstance(std::istream& is) {
   LineReader reader(is);
   auto header = reader.next();
-  DSCT_CHECK_MSG(header.size() == 2 && header[0] == "dsct-instance" &&
+  DSCT_IO_ENSURE(header.size() == 2 && header[0] == "dsct-instance" &&
                      header[1] == "v1",
                  "line " << reader.lineNumber()
                          << ": expected 'dsct-instance v1' header");
@@ -161,23 +172,23 @@ Instance readInstance(std::istream& is) {
        tokens = nextRecord(reader)) {
     const int line = reader.lineNumber();
     if (tokens[0] == "budget") {
-      DSCT_CHECK_MSG(tokens.size() == 2, "line " << line << ": budget <J>");
+      DSCT_IO_ENSURE(tokens.size() == 2, "line " << line << ": budget <J>");
       budget = parseDouble(tokens[1], line);
       sawBudget = true;
     } else if (tokens[0] == "machine") {
-      DSCT_CHECK_MSG(tokens.size() == 4,
+      DSCT_IO_ENSURE(tokens.size() == 4,
                      "line " << line << ": machine <name> <speed> <eff>");
       machines.push_back(Machine{parseDouble(tokens[2], line),
                                  parseDouble(tokens[3], line),
                                  unescapeName(tokens[1])});
     } else if (tokens[0] == "task") {
-      DSCT_CHECK_MSG(tokens.size() >= 4,
+      DSCT_IO_ENSURE(tokens.size() >= 4,
                      "line " << line
                              << ": task <name> <deadline> <numPoints> ...");
       const double deadline = parseDouble(tokens[2], line);
       const int points = parseInt(tokens[3], line);
-      DSCT_CHECK_MSG(points >= 2, "line " << line << ": need >= 2 points");
-      DSCT_CHECK_MSG(tokens.size() == 4 + 2 * static_cast<std::size_t>(points),
+      DSCT_IO_ENSURE(points >= 2, "line " << line << ": need >= 2 points");
+      DSCT_IO_ENSURE(tokens.size() == 4 + 2 * static_cast<std::size_t>(points),
                      "line " << line << ": expected " << 2 * points
                              << " coordinates");
       std::vector<double> flops;
@@ -194,19 +205,23 @@ Instance readInstance(std::istream& is) {
                                               std::move(values)),
           unescapeName(tokens[1])});
     } else {
-      DSCT_CHECK_MSG(false,
+      DSCT_IO_ENSURE(false,
                      "line " << line << ": unknown directive '" << tokens[0]
                              << "'");
     }
   }
-  DSCT_CHECK_MSG(sawBudget, "missing 'budget' line");
+  DSCT_IO_ENSURE(sawBudget, "missing 'budget' line");
   return Instance(std::move(tasks), std::move(machines), budget);
 }
 
 Instance readInstanceFile(const std::string& path) {
   std::ifstream in(path);
-  DSCT_CHECK_MSG(in, "cannot open " << path);
-  return readInstance(in);
+  DSCT_IO_ENSURE(in, path << ": cannot open for reading");
+  try {
+    return readInstance(in);
+  } catch (const CheckError& e) {
+    throw CheckError(path + ": " + e.what());
+  }
 }
 
 void writeSchedule(std::ostream& os, const IntegralSchedule& schedule) {
@@ -229,7 +244,7 @@ void writeScheduleFile(const std::string& path,
 IntegralSchedule readSchedule(std::istream& is, const Instance& inst) {
   LineReader reader(is);
   auto header = reader.next();
-  DSCT_CHECK_MSG(header.size() == 2 && header[0] == "dsct-schedule" &&
+  DSCT_IO_ENSURE(header.size() == 2 && header[0] == "dsct-schedule" &&
                      header[1] == "v1",
                  "line " << reader.lineNumber()
                          << ": expected 'dsct-schedule v1' header");
@@ -239,19 +254,19 @@ IntegralSchedule readSchedule(std::istream& is, const Instance& inst) {
   for (auto tokens = nextRecord(reader); !tokens.empty();
        tokens = nextRecord(reader)) {
     const int line = reader.lineNumber();
-    DSCT_CHECK_MSG(tokens.size() == 4 && tokens[0] == "assign",
+    DSCT_IO_ENSURE(tokens.size() == 4 && tokens[0] == "assign",
                    "line " << line
                            << ": assign <task> <machine> <duration>");
     const int task = parseInt(tokens[1], line);
-    DSCT_CHECK_MSG(task >= 0 && task < inst.numTasks(),
+    DSCT_IO_ENSURE(task >= 0 && task < inst.numTasks(),
                    "line " << line << ": task index out of range");
     int& firstLine = assignedAt[static_cast<std::size_t>(task)];
-    DSCT_CHECK_MSG(firstLine == 0, "line " << line << ": task " << task
+    DSCT_IO_ENSURE(firstLine == 0, "line " << line << ": task " << task
                                            << " already assigned at line "
                                            << firstLine);
     firstLine = line;
     const int machine = parseInt(tokens[2], line);
-    DSCT_CHECK_MSG(machine >= -1 && machine < inst.numMachines(),
+    DSCT_IO_ENSURE(machine >= -1 && machine < inst.numMachines(),
                    "line " << line << ": machine index out of range");
     machineOf[static_cast<std::size_t>(task)] = machine;
     duration[static_cast<std::size_t>(task)] = parseDouble(tokens[3], line);
@@ -263,8 +278,12 @@ IntegralSchedule readSchedule(std::istream& is, const Instance& inst) {
 IntegralSchedule readScheduleFile(const std::string& path,
                                   const Instance& inst) {
   std::ifstream in(path);
-  DSCT_CHECK_MSG(in, "cannot open " << path);
-  return readSchedule(in, inst);
+  DSCT_IO_ENSURE(in, path << ": cannot open for reading");
+  try {
+    return readSchedule(in, inst);
+  } catch (const CheckError& e) {
+    throw CheckError(path + ": " + e.what());
+  }
 }
 
 }  // namespace dsct::io

@@ -35,6 +35,7 @@ void writeInstanceFile(const std::string& path, const Instance& inst);
 
 /// Throws CheckError with a line-number message on malformed input.
 Instance readInstance(std::istream& is);
+/// As readInstance; errors read `PATH: line N: …`.
 Instance readInstanceFile(const std::string& path);
 
 void writeSchedule(std::ostream& os, const IntegralSchedule& schedule);
@@ -43,6 +44,7 @@ void writeScheduleFile(const std::string& path,
 
 /// Reads assignments and rebuilds the timeline against `inst`.
 IntegralSchedule readSchedule(std::istream& is, const Instance& inst);
+/// As readSchedule; errors are prefixed with the file path.
 IntegralSchedule readScheduleFile(const std::string& path,
                                   const Instance& inst);
 

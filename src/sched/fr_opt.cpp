@@ -341,7 +341,7 @@ FrOptResult solveFrOpt(const Instance& inst, const FrOptOptions& options) {
         }
       }
       const std::vector<double> probeValues =
-          evaluator.evaluateBatch(probes, pool, options.parallelCachedEval);
+          evaluator.evaluateBatch(probes, pool);
       std::vector<double> gainUp(static_cast<std::size_t>(m), 0.0);
       std::vector<double> lossDown(static_cast<std::size_t>(m), 0.0);
       for (std::size_t i = 0; i < probes.size(); ++i) {
@@ -438,8 +438,7 @@ FrOptResult solveFrOpt(const Instance& inst, const FrOptOptions& options) {
         const std::vector<EnergyProfile> candidates =
             expansionCandidates(inst, loads, leftover, ceilings);
         const std::vector<double> values =
-            evaluator.evaluateBatch(candidates, pool,
-                                    options.parallelCachedEval);
+            evaluator.evaluateBatch(candidates, pool);
         // Adopting only the argmax (first on ties) matches the sequential
         // adopt-each-improving-candidate chain: the chain's final incumbent
         // is exactly the first maximal improving candidate.

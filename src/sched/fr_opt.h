@@ -64,13 +64,6 @@ struct FrOptOptions {
   /// fresh evaluations — it only skips repeated work across solves. The
   /// serving loop passes one cache across all of a run's epochs.
   ProfileCache* sharedCache = nullptr;
-  /// With both a pool and `sharedCache` set, batch evaluations look the
-  /// shared cache up from the worker threads (the cache is sharded and
-  /// thread-safe) and stage misses per index; new entries are committed
-  /// single-threaded in index order. Schedules, objectives, and cache
-  /// contents stay bit-identical to the serial path
-  /// (tests/sched_concurrent_cache_test.cpp).
-  bool parallelCachedEval = false;
   /// Cooperative stop token, polled at the outer fixed-point rounds and
   /// inside the pair/direction escape searches (and forwarded to
   /// RefineProfile's round loop). On early exit the incumbent schedule is

@@ -81,8 +81,7 @@ double ProfileEvaluator::cached(const EnergyProfile& profile) {
 }
 
 std::vector<double> ProfileEvaluator::evaluateBatch(
-    std::span<const EnergyProfile> profiles, ThreadPool* pool,
-    bool parallelCachedEval) {
+    std::span<const EnergyProfile> profiles, ThreadPool* pool) {
   std::vector<double> out(profiles.size(), 0.0);
   // Local-memo pass on the coordinating thread, in index order. Misses stay
   // pending; their memo inserts are deferred to the commit phase (see there).
@@ -100,59 +99,36 @@ std::vector<double> ProfileEvaluator::evaluateBatch(
     pendingKeys.push_back(std::move(key));
   }
 
-  // Resolve the pending indices into per-index staging slots. Neither branch
-  // writes a cache here: workers only *read* the sharded shared cache and
-  // compute, so the interleaving of threads cannot influence what any index
-  // resolves to.
+  // Resolve the pending indices into per-index staging slots: a shared-cache
+  // hit, else a fresh evaluation. Nothing writes a cache here — resolving
+  // only *reads* the sharded shared cache and computes — so the interleaving
+  // of pool workers cannot influence what any index resolves to.
   struct Staged {
     double value = 0.0;
     bool fromShared = false;
   };
-  std::vector<Staged> staged;
-  const bool pooled = pool != nullptr && pending.size() > 1;
-  if (pooled && parallelCachedEval && shared_ != nullptr) {
-    // Parallel cached mode: shared-cache lookups happen on the workers.
-    staged = pool->parallelMap(pending.size(), [&](std::size_t k) -> Staged {
-      const EnergyProfile& profile = profiles[pending[k]];
+  const auto resolve = [&](std::size_t k) -> Staged {
+    const EnergyProfile& profile = profiles[pending[k]];
+    if (shared_ != nullptr) {
       if (const std::optional<double> hit =
               shared_->lookup(fingerprint_, profile)) {
         return {*hit, true};
       }
-      return {evaluate(profile), false};
-    });
+    }
+    return {evaluate(profile), false};
+  };
+  std::vector<Staged> staged;
+  if (pool != nullptr && pending.size() > 1) {
+    staged = pool->parallelMap(pending.size(), resolve);
   } else {
-    // Serial shared lookups on the coordinating thread; the remaining pure
-    // evaluations may still fan across the pool.
-    staged.resize(pending.size());
-    std::vector<std::size_t> toCompute;
+    staged.reserve(pending.size());
     for (std::size_t k = 0; k < pending.size(); ++k) {
-      if (shared_ != nullptr) {
-        if (const std::optional<double> hit =
-                shared_->lookup(fingerprint_, profiles[pending[k]])) {
-          staged[k] = {*hit, true};
-          continue;
-        }
-      }
-      toCompute.push_back(k);
-    }
-    std::vector<double> values;
-    if (pooled && toCompute.size() > 1) {
-      values = pool->parallelMap(toCompute.size(), [&](std::size_t idx) {
-        return evaluate(profiles[pending[toCompute[idx]]]);
-      });
-    } else {
-      values.reserve(toCompute.size());
-      for (std::size_t idx = 0; idx < toCompute.size(); ++idx) {
-        values.push_back(evaluate(profiles[pending[toCompute[idx]]]));
-      }
-    }
-    for (std::size_t idx = 0; idx < toCompute.size(); ++idx) {
-      staged[toCompute[idx]] = {values[idx], false};
+      staged.push_back(resolve(k));
     }
   }
 
   // Commit phase: single-threaded, in index order — the only place either
-  // cache is written, so cache contents are identical across all modes.
+  // cache is written, so cache contents are identical pooled or serial.
   // Shared-cache hits join the same deferred memoisation as computed misses:
   // memoising them inline would let an intra-batch quantised-key collision
   // serve a shared value where the cache-less run computes its own, breaking

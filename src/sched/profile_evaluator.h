@@ -10,10 +10,10 @@
 // Algorithm 1 → accuracy, no schedule matrix), memoises answers keyed on
 // the quantised profile vector, and exposes counters so benchmarks can see
 // where the work goes. Batch evaluation optionally fans misses across a
-// ThreadPool — and, in the parallel cached mode, reads the sharded
-// cross-solve cache from the workers; every mode computes bit-identical
-// values and commits cache writes single-threaded in index order, so results
-// and cache contents are deterministic regardless of interleaving.
+// ThreadPool, whose workers read the sharded cross-solve cache; pooled and
+// serial batches compute bit-identical values and commit cache writes
+// single-threaded in index order, so results and cache contents are
+// deterministic regardless of interleaving.
 #pragma once
 
 #include <atomic>
@@ -46,8 +46,8 @@ class ProfileEvaluator {
   /// on local-memo misses and fed every newly computed answer. Shared hits
   /// are bit-identical to fresh evaluations (exact-bit keys; see
   /// profile_cache.h), so attaching a cache never changes results. Stores
-  /// happen on the coordinating thread only; lookups run there too unless
-  /// evaluateBatch's parallel cached mode is requested (the cache is sharded
+  /// happen on the coordinating thread only; lookups run there too, except
+  /// in a pooled evaluateBatch, whose workers read it (the cache is sharded
   /// and thread-safe, so workers may read it concurrently).
   explicit ProfileEvaluator(const Instance& inst,
                             ProfileCache* shared = nullptr);
@@ -65,19 +65,17 @@ class ProfileEvaluator {
   /// thread only; worker threads use evaluate() or evaluateBatch().
   double cached(const EnergyProfile& profile);
 
-  /// Evaluate many profiles, serving memoised answers and computing the
-  /// misses — in index order serially, or via `pool` when given. With
-  /// `parallelCachedEval` set (and a pool and a shared cache attached), the
-  /// workers additionally look the sharded shared cache up concurrently and
-  /// stage their results per index; a single-threaded commit phase then
-  /// inserts new answers into both caches in index order. All modes produce
+  /// Evaluate many profiles, serving memoised answers and resolving the
+  /// misses (shared-cache lookup, else evaluate) — in index order serially,
+  /// or on the workers of `pool` when given. Resolved values are staged per
+  /// index; a single-threaded commit phase then inserts new answers into
+  /// both caches in index order. Pooled and serial batches produce
   /// bit-identical values *and* bit-identical cache contents — evaluations
   /// are pure functions of their profile, lookups never mutate, and every
   /// write happens in the index-ordered commit phase regardless of how the
   /// workers interleave (tests/sched_concurrent_cache_test.cpp).
   std::vector<double> evaluateBatch(std::span<const EnergyProfile> profiles,
-                                    ThreadPool* pool,
-                                    bool parallelCachedEval = false);
+                                    ThreadPool* pool);
 
   /// Full optimal schedule for `profile` (Algorithm 2's core), reusing the
   /// pre-sorted segment list. Thread-safe.

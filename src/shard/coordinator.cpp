@@ -14,6 +14,13 @@ namespace dsct::shard {
 
 namespace {
 
+/// Convergence slack as a fraction of B: the price loop stops once the
+/// funded demand is within this share of B below the budget (demand never
+/// exceeds B at the accepted price).
+constexpr double kBudgetTolerance = 0.01;
+/// Entry bound of each cell's cross-epoch ProfileCache.
+constexpr std::size_t kCacheEntriesPerCell = 1 << 18;
+
 void addCounters(FrOptCounters& into, const FrOptCounters& from) {
   into.evaluations += from.evaluations;
   into.cacheHits += from.cacheHits;
@@ -77,8 +84,6 @@ SolveOutcome ShardCoordinator::solve(const Instance& inst,
   PartitionOptions popt;
   popt.cells = k;
   popt.seed = options_.seed;
-  popt.balanceFactor = options_.balanceFactor;
-  popt.taskAffinity = options_.taskAffinity;
   const Partition part = partitionInstance(inst, popt);
   const auto machinesOf = part.machinesOf();
   const auto tasksOf = part.tasksOf();
@@ -142,7 +147,7 @@ SolveOutcome ShardCoordinator::solve(const Instance& inst,
     };
     double loDemand = demand;
     int sameSide = 0;  // +1: lo moved last, -1: hi moved last
-    while (stats_.priceIterations < options_.maxPriceIterations) {
+    while (stats_.priceIterations < kMaxPriceIterations) {
       if (breakpointBelow(hi) <= lo) {
         // No breakpoint left inside (lo, hi): hi is exactly critical.
         stats_.converged = true;
@@ -173,7 +178,7 @@ SolveOutcome ShardCoordinator::solve(const Instance& inst,
         hiDemand = d;
         sameSide = sameSide < 0 ? sameSide - 1 : -1;
         // Close enough: the funded demand is within tolerance below B.
-        if (budget - d <= options_.budgetTolerance * budget) {
+        if (budget - d <= kBudgetTolerance * budget) {
           stats_.converged = true;
           break;
         }
@@ -207,8 +212,7 @@ SolveOutcome ShardCoordinator::solve(const Instance& inst,
     cellStates_.clear();
     cellStates_.resize(cells.size());
     for (CellState& state : cellStates_) {
-      state.cache =
-          std::make_unique<ProfileCache>(options_.cacheEntriesPerCell);
+      state.cache = std::make_unique<ProfileCache>(kCacheEntriesPerCell);
     }
   }
 
@@ -232,10 +236,10 @@ SolveOutcome ShardCoordinator::solve(const Instance& inst,
   // --- parallel cell solves ---
   // The pool is forwarded into each cell solve: a cell solving on a worker
   // runs its own fan-outs inline (ThreadPool is re-entrant), so nesting is
-  // deadlock-free. energyPrice = λ keeps price-guided solvers consistent
-  // with the outer loop; B_c never exceeds the cell's demand at λ, so the
-  // priced budget cap is inactive here and active only for solvers that
-  // would otherwise overreach.
+  // deadlock-free. energyPrice = λ keeps the solvers that read it (approx,
+  // fr-opt) consistent with the outer loop; B_c never exceeds the cell's
+  // demand at λ, so the priced budget cap is inactive here and active only
+  // for solvers that would otherwise overreach.
   const auto solveCell = [&](std::size_t c, double cellB,
                              double price) -> SolveOutcome {
     if (cells[c].tasks.empty()) return SolveOutcome{};
@@ -287,7 +291,7 @@ SolveOutcome ShardCoordinator::solve(const Instance& inst,
         headroom += curves[c].capEnergy() - outcomes[c].energy;
       }
     }
-    if (slack > options_.budgetTolerance * budget * 0.1 && !bound.empty() &&
+    if (slack > kBudgetTolerance * budget * 0.1 && !bound.empty() &&
         headroom > 0.0) {
       std::vector<double> topBudget(cells.size(), 0.0);
       for (const std::size_t c : bound) {

@@ -33,25 +33,16 @@ struct ShardOptions {
   int cells = 1;
   /// Partitioner seed (see PartitionOptions::seed).
   std::uint64_t seed = 0;
-  /// Locality admission threshold forwarded to the partitioner.
-  double balanceFactor = 1.25;
-  /// Optional per-task preferred machine forwarded to the partitioner.
-  const std::vector<int>* taskAffinity = nullptr;
-  /// Outer price-loop iteration cap, counted in demand evaluations. The
-  /// demand curves are step functions, so the loop snaps every probe to a
-  /// breakpoint (secant guess, midpoint fallback) and declares exact
-  /// convergence once the bracket holds no interior breakpoint — in
-  /// practice ≤ 8 evaluations; 32 is a generous backstop.
-  int maxPriceIterations = 32;
-  /// Convergence slack as a fraction of B: the loop stops once the funded
-  /// demand is within `budgetTolerance` x B below the budget (demand never
-  /// exceeds B at the accepted price).
-  double budgetTolerance = 0.01;
   /// Re-solve budget-bound cells with the run's leftover energy.
   bool topUp = true;
-  /// Entry bound of each cell's cross-epoch ProfileCache.
-  std::size_t cacheEntriesPerCell = 1 << 18;
 };
+
+/// Outer price-loop iteration cap, counted in demand evaluations. The
+/// demand curves are step functions, so the loop snaps every probe to a
+/// breakpoint (secant guess, midpoint fallback) and declares exact
+/// convergence once the bracket holds no interior breakpoint — in practice
+/// ≤ 8 evaluations; 32 is a generous backstop.
+inline constexpr int kMaxPriceIterations = 32;
 
 /// Per-solve observability (read via lastStats after each solve).
 struct ShardStats {

@@ -88,29 +88,6 @@ Partition partitionInstance(const Instance& inst,
     for (std::size_t c = 1; c < k; ++c) {
       if (relLoad(c) < relLoad(best)) best = c;
     }
-    // Locality: follow the preferred machine's cell while it stays within
-    // the balance factor of the least-loaded cell. The comparison includes
-    // the task being placed — comparing current loads instead would make
-    // empty cells (relative load 0) reject every affinity no matter how
-    // large the factor is.
-    if (options.taskAffinity != nullptr &&
-        static_cast<std::size_t>(j) < options.taskAffinity->size()) {
-      const int pref = (*options.taskAffinity)[static_cast<std::size_t>(j)];
-      if (pref >= 0 && pref < m) {
-        const std::size_t prefCell = static_cast<std::size_t>(
-            part.machineCell[static_cast<std::size_t>(pref)]);
-        const double fmax = inst.task(j).fmax();
-        const auto postLoad = [&](std::size_t c) {
-          return part.cellSpeed[c] > 0.0
-                     ? (part.cellFmax[c] + fmax) / part.cellSpeed[c]
-                     : std::numeric_limits<double>::infinity();
-        };
-        if (postLoad(prefCell) <=
-            options.balanceFactor * postLoad(best) + 1e-12) {
-          best = prefCell;
-        }
-      }
-    }
     part.taskCell[static_cast<std::size_t>(j)] = static_cast<int>(best);
     part.cellFmax[best] += inst.task(j).fmax();
   }

@@ -64,12 +64,18 @@ ServingStats runServingImpl(
     const ServingOptions& options,
     const std::function<double(double, double)>& budgetFor) {
   DSCT_CHECK(!machines.empty());
-  DSCT_CHECK(options.epochSeconds > 0.0);
+  DSCT_CHECK_MSG(
+      std::isfinite(options.epochSeconds) && options.epochSeconds > 0.0,
+      "epochSeconds must be finite and > 0, got " << options.epochSeconds);
   DSCT_CHECK_MSG(
       std::isfinite(options.horizonSeconds) && options.horizonSeconds > 0.0,
       "horizonSeconds must be finite and > 0, got " << options.horizonSeconds);
   DSCT_CHECK_MSG(options.shards >= 0,
                  "shards must be >= 0, got " << options.shards);
+  DSCT_CHECK_MSG(std::isfinite(options.admissionLoadFactor) &&
+                     options.admissionLoadFactor >= 0.0,
+                 "admissionLoadFactor must be finite and >= 0, got "
+                     << options.admissionLoadFactor);
   const bool hasRequestTrace = !options.requestTrace.empty();
   if (hasRequestTrace) {
     DSCT_CHECK_MSG(options.arrivalTimes.empty(),

@@ -220,8 +220,12 @@ TEST(SolverRegistry, CapabilitiesDescribeOutputs) {
     const Instance inst = corpusInstance(kSeed, 1);
     const SolveOutcome outcome = solver->solve(inst, context);
     if (!outcome.solved()) continue;
-    if (outcome.schedule.has_value()) EXPECT_TRUE(caps.integral);
-    if (outcome.fractional.has_value()) EXPECT_TRUE(caps.fractional);
+    if (outcome.schedule.has_value()) {
+      EXPECT_TRUE(caps.integral);
+    }
+    if (outcome.fractional.has_value()) {
+      EXPECT_TRUE(caps.fractional);
+    }
   }
 }
 
@@ -239,7 +243,6 @@ void expectSameCapabilities(const SolverCapabilities& a,
   EXPECT_EQ(a.deterministic, b.deterministic);
   EXPECT_EQ(a.usesLpWarmStart, b.usesLpWarmStart);
   EXPECT_EQ(a.availabilityAware, b.availabilityAware);
-  EXPECT_EQ(a.priceGuided, b.priceGuided);
 }
 
 TEST(ServingVariant, NoCacheDropsOnlyTheProfileCacheCapability) {

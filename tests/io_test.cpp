@@ -1,5 +1,6 @@
 #include "io/instance_io.h"
 
+#include <fstream>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -131,6 +132,40 @@ TEST(InstanceIo, RejectsMalformedInput) {
                "line 4: expected integer, got '2.5'");
 }
 
+TEST(InstanceIo, StreamErrorsCarryNoCheckInternals) {
+  // The reader's own format errors read `line N: …`, without the check
+  // macro's expression text and source location.
+  const auto expectClean = [](const std::string& text,
+                              const std::string& prefix) {
+    std::stringstream in(text);
+    try {
+      io::readInstance(in);
+      ADD_FAILURE() << "accepted:\n" << text;
+    } catch (const CheckError& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind(prefix, 0), 0u) << what;
+      EXPECT_EQ(what.find("check failed"), std::string::npos) << what;
+      EXPECT_EQ(what.find(".cpp:"), std::string::npos) << what;
+    }
+  };
+  expectClean("dsct-instance v1\nbudget abc\nend\n", "line 2: ");
+  expectClean("dsct-instance v1\nbudget 1\nfrobnicate x\nend\n", "line 3: ");
+  expectClean("dsct-instance v1\nbudget 1\nmachine m0 1.0\nend\n",
+              "line 3: ");
+  expectClean("dsct-instance v1\nbudget 1\nmachine m0 1.0 0.01\n",
+              "line 3: ");
+  const Instance inst = tinyInstance();
+  std::stringstream sched("dsct-schedule v1\nassign 0 0 abc\nend\n");
+  try {
+    io::readSchedule(sched, inst);
+    ADD_FAILURE() << "accepted a non-numeric assignment";
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what.rfind("line 2: ", 0), 0u) << what;
+    EXPECT_EQ(what.find("check failed"), std::string::npos) << what;
+  }
+}
+
 TEST(InstanceIo, GarbageInputsThrowCleanly) {
   // Deterministic pseudo-random byte soup: the reader must throw CheckError
   // (never crash or accept) on every sample.
@@ -219,6 +254,42 @@ TEST(ScheduleIo, FullPipelineThroughFiles) {
       io::readScheduleFile(dir + "/pipeline_sched.txt", loaded);
   EXPECT_TRUE(validate(loaded, back).feasible);
   EXPECT_NEAR(back.totalAccuracy(loaded), res.totalAccuracy, 1e-12);
+}
+
+TEST(InstanceIo, FileErrorsNameThePathNotTheCheck) {
+  // File readers report `PATH: line N: …` and a missing file by its path,
+  // without the check macro's expression text and source location.
+  const std::string dir = ::testing::TempDir();
+  const auto expectFileError = [](const auto& read, const std::string& path,
+                                  const std::string& names) {
+    try {
+      read();
+      ADD_FAILURE() << "accepted " << path;
+    } catch (const CheckError& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind(path + ": ", 0), 0u) << what;
+      EXPECT_NE(what.find(names), std::string::npos) << what;
+      EXPECT_EQ(what.find("check failed"), std::string::npos) << what;
+    }
+  };
+  const std::string truncated = dir + "/io_truncated_inst.txt";
+  {
+    std::ofstream out(truncated);
+    out << "dsct-instance v1\nbudget 1\nmachine m0 1.0 0.01\n";
+  }
+  expectFileError([&] { io::readInstanceFile(truncated); }, truncated,
+                  "line 3: file ends without an 'end' line");
+  const std::string missing = dir + "/io_no_such_file.txt";
+  expectFileError([&] { io::readInstanceFile(missing); }, missing,
+                  "cannot open");
+  const Instance inst = tinyInstance();
+  const std::string badSchedule = dir + "/io_bad_sched.txt";
+  {
+    std::ofstream out(badSchedule);
+    out << "dsct-schedule v1\nassign 0 0 abc\nend\n";
+  }
+  expectFileError([&] { io::readScheduleFile(badSchedule, inst); },
+                  badSchedule, "line 2: expected number");
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Differential harness for the concurrency-safe cross-solve ProfileCache
-// (the bit-identity contract): the same FR-OPT solve run serial, pooled, and
-// pooled-with-concurrent-shared-cache-reads must produce bitwise-equal
+// (the bit-identity contract): the same FR-OPT solve run serial and pooled
+// (workers read the shared cache concurrently) must produce bitwise-equal
 // schedules, objectives, and cache contents. Plus a seeded stress test that
 // oversubscribes the pool (16 workers on however few cores the host has) and
 // checks the hammered cache against a serial replay.
@@ -36,9 +36,9 @@ void expectBitIdentical(const FrOptResult& a, const FrOptResult& b) {
 }
 
 TEST(ConcurrentCacheDifferential, PooledSharedCacheBitIdenticalAcrossCorpus) {
-  // Three execution modes over the seeded five-regime corpus, each feeding
-  // its own fresh cache: serial, pooled (serial cache access), and pooled
-  // with concurrent shared-cache reads. Everything observable must match —
+  // Serial and pooled runs (twice) over the seeded five-regime corpus, each
+  // feeding its own fresh cache; pooled workers read the shared cache
+  // concurrently. Everything observable must match —
   // including the caches' sizes, digests, and hit/miss/invalidation
   // counters. Only the contention counter may differ (it measures lock
   // timing, not content).
@@ -62,7 +62,6 @@ TEST(ConcurrentCacheDifferential, PooledSharedCacheBitIdenticalAcrossCorpus) {
     FrOptOptions parallelOpts;
     parallelOpts.sharedCache = &parallelCache;
     parallelOpts.pool = &pool;
-    parallelOpts.parallelCachedEval = true;
     const FrOptResult parallel = solveFrOpt(inst, parallelOpts);
 
     expectBitIdentical(serial, pooled);
@@ -84,7 +83,7 @@ TEST(ConcurrentCacheDifferential, PooledSharedCacheBitIdenticalAcrossCorpus) {
 }
 
 TEST(ConcurrentCacheDifferential, CrossSolveReuseUnderParallelMode) {
-  // Warm re-solve through the same cache in parallel cached mode: still
+  // Warm re-solve through the same cache on a pool: still
   // bit-identical, but it reuses earlier answers instead of recomputing.
   ThreadPool pool(8);
   const Instance inst = testing::corpusInstance(512, 7);
@@ -92,7 +91,6 @@ TEST(ConcurrentCacheDifferential, CrossSolveReuseUnderParallelMode) {
   FrOptOptions opts;
   opts.sharedCache = &cache;
   opts.pool = &pool;
-  opts.parallelCachedEval = true;
 
   const FrOptResult cold = solveFrOpt(inst, opts);
   const FrOptResult warm = solveFrOpt(inst, opts);
@@ -103,8 +101,8 @@ TEST(ConcurrentCacheDifferential, CrossSolveReuseUnderParallelMode) {
 
 TEST(ConcurrentCacheDifferential, EvaluateBatchParallelModeMatchesSerial) {
   // Direct evaluator-level check, away from FR-OPT's control flow: a batch
-  // with deliberate exact duplicates, evaluated serially and in parallel
-  // cached mode through fresh caches, must return bitwise-equal vectors and
+  // with deliberate exact duplicates, evaluated serially and on a pool
+  // through fresh caches, must return bitwise-equal vectors and
   // leave bitwise-equal caches — cold and warm.
   const Instance inst = testing::goldenMidSizeInstance();
   ThreadPool pool(16);
@@ -128,7 +126,7 @@ TEST(ConcurrentCacheDifferential, EvaluateBatchParallelModeMatchesSerial) {
     ProfileEvaluator serialEval(inst, &serialCache);
     serialCold = serialEval.evaluateBatch(profiles, nullptr);
     ProfileEvaluator parallelEval(inst, &parallelCache);
-    parallelCold = parallelEval.evaluateBatch(profiles, &pool, true);
+    parallelCold = parallelEval.evaluateBatch(profiles, &pool);
   }
   EXPECT_EQ(serialCold, parallelCold);
   EXPECT_EQ(serialCache.size(), parallelCache.size());
@@ -140,8 +138,39 @@ TEST(ConcurrentCacheDifferential, EvaluateBatchParallelModeMatchesSerial) {
   ProfileEvaluator serialWarm(inst, &serialCache);
   ProfileEvaluator parallelWarm(inst, &parallelCache);
   EXPECT_EQ(serialWarm.evaluateBatch(profiles, nullptr), serialCold);
-  EXPECT_EQ(parallelWarm.evaluateBatch(profiles, &pool, true), parallelCold);
+  EXPECT_EQ(parallelWarm.evaluateBatch(profiles, &pool), parallelCold);
   EXPECT_EQ(parallelCache.contentDigest(), digestBefore);
+}
+
+TEST(ConcurrentCacheDifferential, PooledBatchResolvesFromSharedCache) {
+  // A pooled batch through a fresh evaluator (empty local memo) over a full
+  // shared cache: every index is resolved by a worker-side shared-cache
+  // lookup, so nothing is evaluated, nothing is stored, and the answers
+  // equal the serial fill's bit for bit.
+  const Instance inst = testing::goldenMidSizeInstance();
+  ThreadPool pool(8);
+  Rng rng(317);
+  std::vector<EnergyProfile> profiles;
+  for (int i = 0; i < 64; ++i) {
+    profiles.push_back(
+        EnergyProfile{rng.uniform(0.0, 50.0), rng.uniform(0.0, 50.0)});
+  }
+  ProfileCache cache;
+  ProfileEvaluator filler(inst, &cache);
+  const std::vector<double> serial = filler.evaluateBatch(profiles, nullptr);
+  const std::size_t sizeBefore = cache.size();
+  const std::uint64_t digestBefore = cache.contentDigest();
+  const ProfileCacheCounters before = cache.counters();
+
+  ProfileEvaluator pooled(inst, &cache);
+  EXPECT_EQ(pooled.evaluateBatch(profiles, &pool), serial);
+  EXPECT_EQ(pooled.counters().evaluations, 0);
+  const ProfileCacheCounters after = cache.counters();
+  EXPECT_EQ(after.hits - before.hits,
+            static_cast<long long>(profiles.size()));
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(cache.size(), sizeBefore);
+  EXPECT_EQ(cache.contentDigest(), digestBefore);
 }
 
 TEST(ConcurrentCacheStress, SeededOversubscribedHammerMatchesSerialReplay) {

@@ -173,6 +173,16 @@ TEST(ServingOptionsCheck, RejectsInvalidEntryOptions) {
     options.energyBudgetPerEpoch = budget;
     expectRejected(options, "energyBudgetPerEpoch");
   }
+  for (const double epoch : {-1.0, 0.0, std::nan(""), HUGE_VAL}) {
+    sim::ServingOptions options;
+    options.epochSeconds = epoch;
+    expectRejected(options, "epochSeconds");
+  }
+  for (const double factor : {-1.0, std::nan("")}) {
+    sim::ServingOptions options;
+    options.admissionLoadFactor = factor;
+    expectRejected(options, "admissionLoadFactor");
+  }
   sim::ServingOptions options;
   options.shards = -3;
   expectRejected(options, "shards");

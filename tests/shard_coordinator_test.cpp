@@ -61,7 +61,7 @@ TEST(ShardCoordinator, PriceLoopConvergesAcrossCorpusRegimes) {
       // pins the critical price exactly — it never just runs out of
       // iterations on these sizes.
       EXPECT_TRUE(stats.converged);
-      EXPECT_LE(stats.priceIterations, options.maxPriceIterations);
+      EXPECT_LE(stats.priceIterations, kMaxPriceIterations);
       EXPECT_GE(stats.finalPrice, 0.0);
       // The assigned cell budgets never oversubscribe B, and the merged
       // schedule honours the global budget.

@@ -206,8 +206,8 @@ TEST(LpDifferential, RandomGeneralLps) {
 // objective fails here directly, without consulting the dense reference.
 //
 // Regenerate after an intentional numeric change with:
-//   DSCT_REGEN_LP_GOLDEN=1 ./solver_lp_differential_test \
-//     --gtest_filter='*CorpusGoldenObjectives*'
+//   DSCT_REGEN_LP_GOLDEN=1 ./solver_lp_differential_test
+//     --gtest_filter='*CorpusGoldenObjectives*'   (one command line)
 
 struct GoldenObjective {
   std::uint64_t seed;

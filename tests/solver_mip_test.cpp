@@ -126,6 +126,63 @@ TEST(Mip, NodeLimitReturnsBound) {
   EXPECT_TRUE(std::isfinite(res.bestBound));
 }
 
+TEST(Mip, NodeLimitIncumbentIsFeasibleAndBounded) {
+  // Stopped by the node limit before proving optimality, the search still
+  // reports the best incumbent it found: integral, feasible, and never
+  // better than the reported bound.
+  Rng rng(65);
+  int withIncumbent = 0;
+  for (int trial = 0; trial < 6; ++trial) {
+    Model m;
+    m.setMaximize(true);
+    std::vector<std::pair<int, double>> row;
+    for (int i = 0; i < 20; ++i) {
+      row.emplace_back(m.addBinary(rng.uniform(1.0, 9.0)),
+                       rng.uniform(1.0, 9.0));
+    }
+    m.addConstraint(row, Sense::kLe, 30.0);
+    MipOptions options;
+    options.maxNodes = 50;
+    const MipResult res = solveMip(m, options);
+    EXPECT_EQ(res.status, SolveStatus::kIterationLimit) << "trial " << trial;
+    EXPECT_TRUE(std::isfinite(res.bestBound)) << "trial " << trial;
+    if (!res.hasSolution) continue;
+    ++withIncumbent;
+    EXPECT_TRUE(m.isFeasible(res.x, 1e-6)) << "trial " << trial;
+    for (const double v : res.x) EXPECT_NEAR(v, std::round(v), 1e-6);
+    EXPECT_LE(res.objective, res.bestBound + kTol) << "trial " << trial;
+  }
+  EXPECT_GT(withIncumbent, 0);
+}
+
+TEST(Mip, FeasibleWarmStartLeavesOptimumUnchanged) {
+  // Seeding the search with a feasible incumbent (the empty knapsack)
+  // changes nothing about where it ends: same optimal objective as cold.
+  Rng rng(64);
+  for (int trial = 0; trial < 8; ++trial) {
+    Model m;
+    m.setMaximize(true);
+    const int n = rng.uniformInt(4, 9);
+    std::vector<std::pair<int, double>> row;
+    double total = 0.0;
+    for (int i = 0; i < n; ++i) {
+      const int v = m.addBinary(rng.uniform(0.5, 5.0));
+      const double w = rng.uniform(0.5, 5.0);
+      row.emplace_back(v, w);
+      total += w;
+    }
+    m.addConstraint(std::move(row), Sense::kLe, 0.5 * total);
+    MipOptions warm;
+    warm.initialSolution = std::vector<double>(static_cast<std::size_t>(n),
+                                               0.0);
+    const MipResult cold = solveMip(m);
+    const MipResult seeded = solveMip(m, warm);
+    ASSERT_EQ(cold.status, SolveStatus::kOptimal);
+    ASSERT_EQ(seeded.status, SolveStatus::kOptimal);
+    EXPECT_NEAR(cold.objective, seeded.objective, 1e-7) << "trial " << trial;
+  }
+}
+
 TEST(Mip, GapIsZeroAtOptimality) {
   Model m;
   m.setMaximize(true);

@@ -157,7 +157,7 @@ inline Instance goldenMidSizeInstance() {
 enum class ServingVariant {
   kNoCache,             ///< no cross-epoch ProfileCache
   kNoLpWarm,            ///< no cross-epoch LP warm-start slot
-  kParallelCachedEval,  ///< parallel cached evaluation on an 8-thread pool
+  kParallelCachedEval,  ///< pooled evaluation on an 8-thread pool
 };
 
 /// Registers, on first use, a test-only variant of the registry solver
@@ -190,7 +190,6 @@ inline std::string servingVariant(const std::string& base,
           case ServingVariant::kParallelCachedEval: {
             static ThreadPool pool(8);
             ctx.frOpt.pool = &pool;
-            ctx.frOpt.parallelCachedEval = true;
             break;
           }
         }

@@ -1,6 +1,7 @@
 # `dsct_cli serve` entry-option checks: a NaN budget, a non-positive horizon
-# and a negative shard count each exit 1 with an error naming the field,
-# where they used to run as a plausible-looking 0 J serve.
+# or epoch, a negative shard count and a negative admission load factor each
+# exit 1 with an error naming the field, where they used to run as a
+# plausible-looking serve or die on a bare check.
 function(expect_rejected field)
   string(JOIN " " args ${ARGN})
   execute_process(COMMAND ${CLI} serve ${ARGN} RESULT_VARIABLE code
@@ -18,6 +19,9 @@ expect_rejected(energyBudgetPerEpoch --horizon 1 --budget -1)
 expect_rejected(horizonSeconds --horizon -5)
 expect_rejected(horizonSeconds --horizon 0)
 expect_rejected(shards --horizon 1 --shards -3)
+expect_rejected(epochSeconds --horizon 1 --epoch 0)
+expect_rejected(epochSeconds --horizon 1 --epoch -0.5)
+expect_rejected(admissionLoadFactor --horizon 1 --load-factor -1)
 
 # The boundary values stay accepted.
 execute_process(COMMAND ${CLI} serve --horizon 1 --budget 0 --shards 0

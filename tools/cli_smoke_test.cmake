@@ -63,6 +63,14 @@ file(READ ${incidents_csv} incidents_head)
 if(NOT incidents_head MATCHES "epoch,kind,depth,payload")
   message(FATAL_ERROR "incident CSV misses its header:\n${incidents_head}")
 endif()
+# A departure rate or a battery turns the availability layer on without
+# --avail, with or without --scenario.
+foreach(knob "--depart-mtbf;1.5" "--battery;12")
+  run_step(${CLI} serve --horizon 3 ${knob})
+  if(NOT last_out MATCHES "departures     : ")
+    message(FATAL_ERROR "serve ${knob} misses the departures line:\n${last_out}")
+  endif()
+endforeach()
 
 # Scenario DSL surface. `scenarios` must list the whole zoo without a parse
 # error; serve --scenario must replay bit-identically run-to-run; explicit

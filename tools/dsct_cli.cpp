@@ -27,9 +27,10 @@
 //
 // `serve --scenario FILE` loads a declarative scenario (DESIGN.md §16) and
 // materialises fleet and request trace from it; explicit flags override the
-// file's values (--seed, --horizon, --epoch, --budget, --policy, --fallback,
-// --backlog, --load-factor, and the availability knobs). `--gpus`/`--rate`
-// conflict with a scenario's own machine/task classes and are rejected.
+// file's values exactly as they override the CLI defaults without a
+// scenario. `--depart-mtbf` or `--battery` turns the availability layer on.
+// `--gpus`/`--rate` conflict with a scenario's own machine/task classes and
+// are rejected.
 // `scenarios` lists every *.dsct file in DIR (default: the repo zoo).
 //
 // Exit code 0 on success (and, for `validate`, a feasible schedule);
@@ -383,87 +384,67 @@ int cmdServe(const Args& args) {
       return usage();
     }
     Scenario sc = loadScenarioFile(args.get("scenario", ""));
-    // Explicit flags override the file's values. Overrides are applied to
-    // the Scenario BEFORE materialisation so e.g. a clamped --horizon also
-    // shrinks the sampled arrival windows.
+    // --seed and --horizon shape the sampled request trace, so they reach
+    // the Scenario BEFORE materialisation (a clamped --horizon also shrinks
+    // the arrival windows); the override block below sets them again.
     if (args.has("seed")) {
       sc.seed = static_cast<std::uint64_t>(args.getInt("seed", 0));
     }
     if (args.has("horizon")) {
       sc.serving.horizonSeconds = args.getDouble("horizon", 0.0);
     }
-    if (args.has("epoch")) {
-      sc.serving.epochSeconds = args.getDouble("epoch", 0.0);
-    }
-    if (args.has("budget")) {
-      sc.serving.energyBudgetPerEpoch = args.getDouble("budget", 0.0);
-    }
-    if (args.has("backlog")) sc.serving.carryBacklog = true;
-    if (args.has("load-factor")) {
-      sc.serving.admissionLoadFactor = args.getDouble("load-factor", 0.0);
-    }
-    if (args.has("fallback")) {
-      sc.serving.fallback = splitList(args.get("fallback", ""));
-    }
-    if (args.has("avail")) sc.serving.availabilityEnabled = true;
-    if (args.has("avail-seed")) {
-      sc.serving.availSeed =
-          static_cast<std::uint64_t>(args.getInt("avail-seed", 0));
-    }
-    if (args.has("depart-mtbf")) {
-      sc.serving.departMtbfSeconds = args.getDouble("depart-mtbf", 0.0);
-      sc.serving.availabilityEnabled = true;
-    }
-    if (args.has("depart-mean")) {
-      sc.serving.departMeanSeconds = args.getDouble("depart-mean", 1.0);
-    }
-    if (args.has("battery")) {
-      sc.serving.batteryCapacityJoules = args.getDouble("battery", 0.0);
-      sc.serving.availabilityEnabled = true;
-    }
-    if (args.has("battery-init")) {
-      sc.serving.batteryInitialFraction = args.getDouble("battery-init", 1.0);
-    }
-    if (args.has("recharge")) {
-      sc.serving.rechargeWatts = args.getDouble("recharge", 0.0);
-    }
-    if (args.has("shards")) sc.serving.shards = args.getInt("shards", 0);
-    if (args.has("shard-seed")) {
-      sc.serving.shardSeed =
-          static_cast<std::uint64_t>(args.getInt("shard-seed", 0));
-    }
-    policy = args.get("policy", sc.serving.policy);
+    policy = sc.serving.policy;
     machines = materializeMachines(sc);
     options = makeServingOptions(sc);
     scenarioName = sc.name;
   } else {
-    policy = args.get("policy", "approx");
+    policy = "approx";
     machines = machinesFromCatalog(splitList(args.get("gpus", "T4,V100")));
-    if (args.has("fallback")) {
-      options.fallbackChain = splitList(args.get("fallback", ""));
-    }
+    // CLI defaults: a smaller, quicker run than the library's.
     options.arrivalRatePerSecond = args.getDouble("rate", 18.0);
-    options.horizonSeconds = args.getDouble("horizon", 5.0);
-    options.epochSeconds = args.getDouble("epoch", 0.5);
-    options.energyBudgetPerEpoch = args.getDouble("budget", 40.0);
-    options.seed = static_cast<std::uint64_t>(args.getInt("seed", 2024));
-    options.carryBacklog = args.has("backlog");
-    options.admissionLoadFactor = args.getDouble("load-factor", 0.0);
-    // Availability layer: departing/returning machines and battery-budgeted
-    // fleets (DESIGN.md §15).
-    options.availability.enabled = args.has("avail");
-    options.availability.seed =
-        static_cast<std::uint64_t>(args.getInt("avail-seed", 2025));
-    options.availability.departMtbfSeconds =
-        args.getDouble("depart-mtbf", 0.0);
-    options.availability.departMeanSeconds =
-        args.getDouble("depart-mean", 1.0);
-    options.availability.batteryCapacityJoules =
-        args.getDouble("battery", 0.0);
-    options.availability.batteryInitialFraction =
-        args.getDouble("battery-init", 1.0);
-    options.availability.rechargeWatts = args.getDouble("recharge", 0.0);
-    options.shards = args.getInt("shards", 0);
+    options.horizonSeconds = 5.0;
+    options.epochSeconds = 0.5;
+    options.energyBudgetPerEpoch = 40.0;
+    options.seed = 2024;
+  }
+
+  // Explicit flags override the scenario's or the CLI's defaults, the same
+  // way on both paths.
+  policy = args.get("policy", policy);
+  if (args.has("fallback")) {
+    options.fallbackChain = splitList(args.get("fallback", ""));
+  }
+  options.horizonSeconds = args.getDouble("horizon", options.horizonSeconds);
+  options.epochSeconds = args.getDouble("epoch", options.epochSeconds);
+  options.energyBudgetPerEpoch =
+      args.getDouble("budget", options.energyBudgetPerEpoch);
+  if (args.has("seed")) {
+    options.seed = static_cast<std::uint64_t>(args.getInt("seed", 0));
+  }
+  if (args.has("backlog")) options.carryBacklog = true;
+  options.admissionLoadFactor =
+      args.getDouble("load-factor", options.admissionLoadFactor);
+  // Availability layer: departing/returning machines and battery-budgeted
+  // fleets (DESIGN.md §15). A departure rate or a battery turns it on.
+  sim::AvailabilityOptions& avail = options.availability;
+  if (args.has("avail") || args.has("depart-mtbf") || args.has("battery")) {
+    avail.enabled = true;
+  }
+  if (args.has("avail-seed")) {
+    avail.seed = static_cast<std::uint64_t>(args.getInt("avail-seed", 0));
+  }
+  avail.departMtbfSeconds =
+      args.getDouble("depart-mtbf", avail.departMtbfSeconds);
+  avail.departMeanSeconds =
+      args.getDouble("depart-mean", avail.departMeanSeconds);
+  avail.batteryCapacityJoules =
+      args.getDouble("battery", avail.batteryCapacityJoules);
+  avail.batteryInitialFraction =
+      args.getDouble("battery-init", avail.batteryInitialFraction);
+  avail.rechargeWatts = args.getDouble("recharge", avail.rechargeWatts);
+  if (args.has("no-battery-cap")) avail.capGlobalBudget = false;
+  options.shards = args.getInt("shards", options.shards);
+  if (args.has("shard-seed")) {
     options.shardSeed =
         static_cast<std::uint64_t>(args.getInt("shard-seed", 0));
   }
@@ -475,22 +456,28 @@ int cmdServe(const Args& args) {
     return usage();
   }
 
-  options.faults.enabled = args.has("faults");
-  options.faults.seed =
-      static_cast<std::uint64_t>(args.getInt("fault-seed", 2024));
-  options.faults.mtbfSeconds = args.getDouble("mtbf", 0.0);
-  options.faults.mttrSeconds = args.getDouble("mttr", 1.0);
-  options.faults.slowdownMtbfSeconds = args.getDouble("slow-mtbf", 0.0);
-  options.faults.slowdownMeanSeconds = args.getDouble("slow-mean", 1.0);
-  options.faults.slowdownFactor = args.getDouble("slow-factor", 0.5);
-  options.faults.budgetShockProbability = args.getDouble("shock-prob", 0.0);
-  options.faults.budgetShockFactor = args.getDouble("shock-factor", 1.0);
-  options.faults.maxRetries = args.getInt("max-retries", 2);
+  sim::FaultOptions& faults = options.faults;
+  if (args.has("faults")) faults.enabled = true;
+  if (args.has("fault-seed")) {
+    faults.seed = static_cast<std::uint64_t>(args.getInt("fault-seed", 0));
+  }
+  faults.mtbfSeconds = args.getDouble("mtbf", faults.mtbfSeconds);
+  faults.mttrSeconds = args.getDouble("mttr", faults.mttrSeconds);
+  faults.slowdownMtbfSeconds =
+      args.getDouble("slow-mtbf", faults.slowdownMtbfSeconds);
+  faults.slowdownMeanSeconds =
+      args.getDouble("slow-mean", faults.slowdownMeanSeconds);
+  faults.slowdownFactor = args.getDouble("slow-factor", faults.slowdownFactor);
+  faults.budgetShockProbability =
+      args.getDouble("shock-prob", faults.budgetShockProbability);
+  faults.budgetShockFactor =
+      args.getDouble("shock-factor", faults.budgetShockFactor);
+  faults.maxRetries = args.getInt("max-retries", faults.maxRetries);
   // Per-epoch solve budget (cooperative cancellation) and the async
   // double-buffered pipeline; see ServingOptions for semantics.
-  options.epochTimeLimitSeconds = args.getDouble("epoch-time-limit", 0.0);
-  options.asyncServing = args.has("async");
-  options.availability.capGlobalBudget = !args.has("no-battery-cap");
+  options.epochTimeLimitSeconds =
+      args.getDouble("epoch-time-limit", options.epochTimeLimitSeconds);
+  if (args.has("async")) options.asyncServing = true;
 
   const sim::ServingStats s = sim::runServing(machines, policy, options);
   if (!scenarioName.empty()) {
