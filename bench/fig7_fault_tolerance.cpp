@@ -64,13 +64,9 @@ int main() {
           o.faults.budgetShockProbability = shockFactor < 1.0 ? 0.5 : 0.0;
           o.faults.budgetShockFactor = shockFactor;
           // Generous per-epoch solve budget (the solves here run in well
-          // under a millisecond) plus the async pipeline: with faults on,
-          // solves still run on the background thread but are drained
-          // before execution, so the results are bit-identical to the
-          // synchronous driver — this exercises the cancellation and
-          // pipeline plumbing at bench scale without perturbing the sweep.
+          // under a millisecond): this exercises the cancellation plumbing
+          // at bench scale without perturbing the sweep.
           o.epochTimeLimitSeconds = 0.25;
-          o.asyncServing = true;
           const sim::ServingStats s = sim::runServing(machines, policy, o);
           solveTimeouts += s.policyTimeouts;
           return std::vector<double>{
@@ -96,7 +92,7 @@ int main() {
   }
   table.print(std::cout);
   std::cout << "\nsolve timeouts over the whole sweep: " << solveTimeouts
-            << " (per-epoch budget 0.25 s, async pipeline on)\n";
+            << " (per-epoch budget 0.25 s)\n";
   std::cout << "\ntakeaway: accuracy degrades gracefully as MTBF shrinks — "
                "interrupted requests retry with their residual curves and "
                "replanning routes around dead machines, so even MTBF 0.5 s "

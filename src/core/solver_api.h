@@ -107,8 +107,7 @@ struct SolveContext {
   lp::LpOptions lp;
   /// Cooperative cancellation/deadline token, polled by every registered
   /// solver at its iteration boundaries. Null means "never cancel". The
-  /// token must outlive the solve call (the serving loop keeps it alive
-  /// until the background future is drained).
+  /// token must outlive the solve call.
   const CancelToken* cancel = nullptr;
   /// Per-machine energy caps for availability-aware solvers; null means
   /// none. Only solvers whose capabilities declare `availabilityAware`

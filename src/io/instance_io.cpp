@@ -174,18 +174,24 @@ Instance readInstance(std::istream& is) {
     if (tokens[0] == "budget") {
       DSCT_IO_ENSURE(tokens.size() == 2, "line " << line << ": budget <J>");
       budget = parseDouble(tokens[1], line);
+      DSCT_IO_ENSURE(budget >= 0.0, "line " << line << ": budget must be >= 0");
       sawBudget = true;
     } else if (tokens[0] == "machine") {
       DSCT_IO_ENSURE(tokens.size() == 4,
                      "line " << line << ": machine <name> <speed> <eff>");
-      machines.push_back(Machine{parseDouble(tokens[2], line),
-                                 parseDouble(tokens[3], line),
-                                 unescapeName(tokens[1])});
+      const double speed = parseDouble(tokens[2], line);
+      const double efficiency = parseDouble(tokens[3], line);
+      DSCT_IO_ENSURE(speed > 0.0 && efficiency > 0.0,
+                     "line " << line
+                             << ": machine speed and efficiency must be > 0");
+      machines.push_back(Machine{speed, efficiency, unescapeName(tokens[1])});
     } else if (tokens[0] == "task") {
       DSCT_IO_ENSURE(tokens.size() >= 4,
                      "line " << line
                              << ": task <name> <deadline> <numPoints> ...");
       const double deadline = parseDouble(tokens[2], line);
+      DSCT_IO_ENSURE(deadline >= 0.0,
+                     "line " << line << ": deadline must be >= 0");
       const int points = parseInt(tokens[3], line);
       DSCT_IO_ENSURE(points >= 2, "line " << line << ": need >= 2 points");
       DSCT_IO_ENSURE(tokens.size() == 4 + 2 * static_cast<std::size_t>(points),
@@ -199,11 +205,15 @@ Instance readInstance(std::istream& is) {
         values.push_back(
             parseDouble(tokens[5 + 2 * static_cast<std::size_t>(k)], line));
       }
-      tasks.push_back(Task{
-          deadline,
-          PiecewiseLinearAccuracy::fromPoints(std::move(flops),
-                                              std::move(values)),
-          unescapeName(tokens[1])});
+      try {
+        tasks.push_back(Task{deadline,
+                             PiecewiseLinearAccuracy::fromPoints(
+                                 std::move(flops), std::move(values)),
+                             unescapeName(tokens[1])});
+      } catch (const CheckError& e) {
+        // The curve's own contract, reported at this record's line.
+        DSCT_IO_ENSURE(false, "line " << line << ": " << e.message());
+      }
     } else {
       DSCT_IO_ENSURE(false,
                      "line " << line << ": unknown directive '" << tokens[0]
@@ -211,6 +221,7 @@ Instance readInstance(std::istream& is) {
     }
   }
   DSCT_IO_ENSURE(sawBudget, "missing 'budget' line");
+  DSCT_IO_ENSURE(!machines.empty(), "missing 'machine' line");
   return Instance(std::move(tasks), std::move(machines), budget);
 }
 

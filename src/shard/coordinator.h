@@ -85,8 +85,8 @@ class ShardCoordinator {
   ShardStats stats_;
 };
 
-/// Solver adapter: lets every existing dispatch layer (serving loop, async
-/// pipeline, fallback chains, benches) treat a sharded solve as a normal
+/// Solver adapter: lets every existing dispatch layer (serving loop,
+/// fallback chains, benches) treat a sharded solve as a normal
 /// Solver. The coordinator inside is mutable state, so the adapter inherits
 /// its at-most-one-solve-in-flight rule.
 class ShardedSolver final : public Solver {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
-#include <future>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -17,7 +16,6 @@
 #include "sched/profile_cache.h"
 #include "sched/validator.h"
 #include "shard/coordinator.h"
-#include "sim/epoch_pipeline.h"
 #include "sim/renewable.h"
 #include "util/cancel.h"
 #include "util/check.h"
@@ -153,18 +151,18 @@ ServingStats runServingImpl(
   // The fallback chain (try primary → validate → walk options.fallbackChain)
   // runs only when some guard is active; otherwise scheduling is a single
   // unguarded call exactly as before.
-  const bool guarded = options.faults.enabled || options.validateEpochs ||
-                       options.epochTimeLimitSeconds > 0.0;
+  const bool guarded =
+      options.faults.enabled || options.epochTimeLimitSeconds > 0.0;
 
   // Resolve the primary policy and the fallback chain through the solver
   // registry up front, so a typo fails the run at epoch 0 rather than at the
   // first faulty epoch.
   const Solver& basePrimary = resolveServingSolver(policy);
-  // Sharded serving wraps the primary in a run-local ShardedSolver: every
-  // existing dispatch path (sync, async pipeline, guarded chain) then treats
-  // the coordinated solve as a normal Solver. The coordinator is stateful
+  // Sharded serving wraps the primary in a run-local ShardedSolver: both
+  // dispatch paths (the unguarded call and the guarded chain) then treat the
+  // coordinated solve as a normal Solver. The coordinator is stateful
   // (per-cell caches, warm-start slots), which is safe here because the
-  // driver keeps at most one solve in flight. Fallback attempts keep using
+  // driver runs one solve at a time. Fallback attempts keep using
   // registry solvers directly, so the safety net never depends on the shard
   // layer.
   std::unique_ptr<shard::ShardedSolver> shardedPrimary;
@@ -209,8 +207,8 @@ ServingStats runServingImpl(
   if (shardedPrimary != nullptr) solverPool = std::make_unique<ThreadPool>(0);
   // Cross-epoch LP warm-start slot, carried like the cache: one epoch's
   // optimal basis seeds the next epoch's LP when the instance structure
-  // matches. The driver drains every background solve before starting the
-  // next, so the slot is never touched by two solves at once.
+  // matches. The driver runs one solve at a time, so the slot is never
+  // touched by two solves at once.
   std::optional<LpWarmStartSlot> lpWarmSlot;
   if (wantsLpWarm) lpWarmSlot.emplace();
   SolveContext solveCtx;
@@ -218,8 +216,7 @@ ServingStats runServingImpl(
   solveCtx.frOpt.pool = solverPool.get();
   solveCtx.lpWarm = lpWarmSlot ? &*lpWarmSlot : nullptr;
   // Per-epoch availability hints, refilled before each epoch's solves and
-  // handed only to capability-gated solvers. Declared at driver scope so the
-  // async pipeline's context can point at it across the submission.
+  // handed only to capability-gated solvers.
   AvailabilityHints epochHints;
   // The context of one solve: the run's shared resources, `token` (null
   // means never cancel), and the epoch's availability hints when `solver`
@@ -237,21 +234,6 @@ ServingStats runServingImpl(
   const auto nowSeconds = [&options]() {
     return options.clock ? options.clock() : steadyNowSeconds();
   };
-
-  // Background solve lane for async serving. The driver drains every
-  // submitted future within its epoch, so at most one solve is in flight
-  // and the shared cache/pool are never used from two threads at once.
-  std::unique_ptr<AsyncSolvePipeline> pipeline;
-  if (options.asyncServing) pipeline = std::make_unique<AsyncSolvePipeline>();
-  // Double-buffering is allowed only when executing an epoch cannot change
-  // the next epoch's batch or budget: backlog carry-over, fault injection,
-  // availability (battery drain couples execution into the next budget),
-  // and admission control all feed execution results back into later
-  // epochs, so those modes drain the solve before executing instead.
-  const bool overlapEligible = options.asyncServing && !options.carryBacklog &&
-                               !options.faults.enabled &&
-                               !options.availability.enabled &&
-                               options.admissionLoadFactor <= 0.0;
 
   // In-flight requests. Without backlog carry-over a request lives for one
   // epoch; with it, a request re-enters later batches with its residual
@@ -272,22 +254,6 @@ ServingStats runServingImpl(
   std::size_t next = 0;  // next unconsumed arrival
 
   ServingStats stats;
-  // Fold the coordinator's per-solve stats into the run totals after every
-  // sharded primary solve; a price loop that hit its cap outside the budget
-  // tolerance is logged as an incident (payload: the accepted λ).
-  const auto noteShard = [&](long long epoch) {
-    if (shardedPrimary == nullptr) return;
-    const shard::ShardStats& ss = shardedPrimary->lastStats();
-    ++stats.shardedEpochs;
-    stats.shardPriceIterations += ss.priceIterations;
-    stats.shardTopUpCells += ss.topUpCells;
-    stats.shardTopUpEnergy += ss.topUpEnergy;
-    if (!ss.converged) {
-      ++stats.shardPriceDivergences;
-      stats.incidents.push_back(
-          {epoch, IncidentKind::kShardPriceDiverged, ss.finalPrice});
-    }
-  };
   double accuracySum = 0.0;
   double latencySum = 0.0;
   const auto finalize = [&](const Active& req) {
@@ -307,80 +273,37 @@ ServingStats runServingImpl(
     }
   };
 
-  // LP telemetry summed over every solve of the run (primary, fallback, and
-  // async alike); folded into ServingStats at the end.
+  // LP telemetry summed over every solve of the run (primary and fallback
+  // alike); folded into ServingStats at the end.
   lp::LpCounters lpTotals;
-  // Take one solve's outcome, synchronous or from the async pipeline: fold
-  // its LP telemetry (and, for the primary at depth 0, its shard stats) into
-  // the run totals and return its schedule — none when the solve was
-  // cancelled. A missing schedule otherwise throws, which the guarded chain
-  // absorbs like any other policy failure.
+  // Take one solve's outcome: fold its LP telemetry into the run totals and,
+  // after a sharded primary solve (depth 0), the coordinator's per-solve
+  // stats; a price loop that hit its cap outside the budget tolerance is
+  // logged as an incident (payload: the accepted λ). Returns the schedule —
+  // none when the solve was cancelled. A missing schedule otherwise throws,
+  // which the guarded chain absorbs like any other policy failure.
   const auto takeOutcome =
       [&](const Solver& solver, SolveOutcome& outcome, int depth,
           long long epoch) -> std::optional<IntegralSchedule> {
     lpTotals.add(outcome.lpCounters);
-    if (depth == 0) noteShard(epoch);
+    if (depth == 0 && shardedPrimary != nullptr) {
+      const shard::ShardStats& ss = shardedPrimary->lastStats();
+      ++stats.shardedEpochs;
+      stats.shardPriceIterations += ss.priceIterations;
+      stats.shardTopUpCells += ss.topUpCells;
+      stats.shardTopUpEnergy += ss.topUpEnergy;
+      if (!ss.converged) {
+        ++stats.shardPriceDivergences;
+        stats.incidents.push_back(
+            {epoch, IncidentKind::kShardPriceDiverged, ss.finalPrice});
+      }
+    }
     if (outcome.cancelled()) return std::nullopt;
     DSCT_CHECK_MSG(outcome.schedule.has_value(),
                    "solver '" << solver.name()
                               << "' returned no integral schedule");
     return std::move(outcome.schedule);
   };
-  // Execute one epoch's schedule and account it: energy, per-request FLOPs
-  // and completion time, interruptions, and deadline misses. `order` maps
-  // the instance's deadline-sorted tasks to their slots in `batch`.
-  const auto executeEpoch = [&](const Instance& inst,
-                                const IntegralSchedule& sched,
-                                const FaultContext& faultCtx,
-                                std::vector<Active>& batch,
-                                const std::vector<std::size_t>& order,
-                                double epochEnd) {
-    ExecutionResult exec = executeSchedule(inst, sched, CommModel{}, faultCtx);
-    stats.totalEnergy += exec.totalEnergy;
-    for (int j = 0; j < inst.numTasks(); ++j) {
-      const TaskExecution& te = exec.executions[static_cast<std::size_t>(j)];
-      Active& req = batch[order[static_cast<std::size_t>(j)]];
-      if (te.executed && te.flops > 0.0) {
-        req.flopsDone += te.flops;
-        req.lastFinish = epochEnd + te.finish;
-      }
-      if (te.interrupted) {
-        req.interrupted = true;
-        ++req.retryCount;
-        ++stats.interruptions;
-      }
-      if (!te.deadlineMet) {
-        ++stats.deadlineMisses;
-        stats.missPenalty += req.missPenalty;
-      }
-    }
-    return exec;
-  };
-
-  // Double-buffered execution stash for async serving: epoch k's plan is
-  // executed while epoch k+1's solve runs on the pipeline thread. Only used
-  // when overlapEligible — execution then cannot feed back into later
-  // batches, so retire() degenerates to finalize-everything, which is
-  // exactly what the flush does.
-  struct PendingExec {
-    Instance inst;
-    IntegralSchedule sched;
-    std::vector<Active> batch;
-    std::vector<std::size_t> order;
-    double epochEnd = 0.0;
-  };
-  std::optional<PendingExec> pendingExec;
-  const auto flushPending = [&]() {
-    if (!pendingExec.has_value()) return;
-    PendingExec& p = *pendingExec;
-    // Overlap mode implies faults are disabled, so the default FaultContext
-    // reproduces the inline execution path exactly (no interruptions).
-    executeEpoch(p.inst, p.sched, FaultContext{}, p.batch, p.order,
-                 p.epochEnd);
-    for (const Active& req : p.batch) finalize(req);
-    pendingExec.reset();
-  };
-
   // Iterate over the integer epoch index and derive both boundaries by
   // multiplication: accumulating `epochStart += epochSeconds` compounds one
   // rounding error per epoch, which can admit an arrival into the wrong
@@ -583,56 +506,6 @@ ServingStats runServingImpl(
     }
     Instance inst(tasks, instMachines, budget);
 
-    // Async serving: submit the primary solve to the pipeline thread BEFORE
-    // flushing the previous epoch's deferred execution, so the solve and
-    // the execution overlap. A primary attempt that is known a priori to be
-    // an injected failure is not submitted — solving it would waste the
-    // pipeline slot on a result the chain discards unsolved.
-    struct AsyncPrimary {
-      SolveContext ctx;
-      std::unique_ptr<CancelToken> token;
-      double granted = std::numeric_limits<double>::infinity();
-      double start = 0.0;
-      std::future<SolveOutcome> fut;
-      bool submitted = false;
-    } asyncPrimary;
-    if (pipeline != nullptr) {
-      const bool injected = guarded && faults.policyFailureInjected(epoch) &&
-                            faults.injectFailureDepth() > 0;
-      if (!injected) {
-        if (guarded && options.epochTimeLimitSeconds > 0.0) {
-          asyncPrimary.granted = options.epochTimeLimitSeconds;
-          asyncPrimary.start = nowSeconds();
-          asyncPrimary.token = std::make_unique<CancelToken>(
-              options.epochTimeLimitSeconds, options.clock);
-        }
-        asyncPrimary.ctx = contextFor(primary, asyncPrimary.token.get());
-        asyncPrimary.fut = pipeline->submit(primary, inst, asyncPrimary.ctx);
-        asyncPrimary.submitted = true;
-        ++stats.asyncEpochs;
-      }
-    }
-    // The in-flight solve references this scope's instance, context, and
-    // token; drain it even if execution or scheduling below throws.
-    struct FutureDrain {
-      AsyncPrimary* p;
-      ~FutureDrain() {
-        if (p->submitted && p->fut.valid()) p->fut.wait();
-      }
-    } futureDrain{&asyncPrimary};
-    // This epoch's solve by `solver` at chain depth `depth` (0 = primary):
-    // the async result when the primary was submitted, otherwise a solve on
-    // this thread under `token`.
-    const auto solveAt = [&](const Solver& solver, int depth,
-                             const CancelToken* token) {
-      if (depth == 0 && asyncPrimary.submitted) return asyncPrimary.fut.get();
-      return solver.solve(inst, contextFor(solver, token));
-    };
-
-    // Overlap window: the previous epoch's schedule executes here while (in
-    // async mode) this epoch's solve is already running.
-    flushPending();
-
     // Schedule the epoch. Guarded mode wraps the primary policy in the
     // configurable fallback chain: exception / injected failure / solve-
     // budget timeout / validator rejection each demote the epoch to the
@@ -640,7 +513,8 @@ ServingStats runServingImpl(
     // an empty schedule rather than executing an infeasible one.
     IntegralSchedule sched = [&]() -> IntegralSchedule {
       if (!guarded) {
-        SolveOutcome outcome = solveAt(primary, 0, nullptr);
+        SolveOutcome outcome =
+            primary.solve(inst, contextFor(primary, nullptr));
         return *takeOutcome(primary, outcome, 0, epoch);
       }
       // depth 0 = the primary policy, depth k = the k-th fallback attempt.
@@ -650,16 +524,13 @@ ServingStats runServingImpl(
       // recorded for the primary only.
       //
       // The solve budget (epochTimeLimitSeconds) is shared by the whole
-      // attempt chain and anchored at the moment the primary started — its
-      // async submission time in async mode. Each attempt receives a
-      // CancelToken carrying the *remaining* budget, polled cooperatively
-      // inside the solvers; once the budget is blown, later attempts run
-      // unguarded (the chain must still serve the epoch, and the blowout is
-      // already on the incident log).
+      // attempt chain and anchored at the moment the primary started. Each
+      // attempt receives a CancelToken carrying the *remaining* budget,
+      // polled cooperatively inside the solvers; once the budget is blown,
+      // later attempts run unguarded (the chain must still serve the epoch,
+      // and the blowout is already on the incident log).
       const bool limited = options.epochTimeLimitSeconds > 0.0;
-      const double chainStart = !limited                ? 0.0
-                                : asyncPrimary.submitted ? asyncPrimary.start
-                                                         : nowSeconds();
+      const double chainStart = limited ? nowSeconds() : 0.0;
       const double chainDeadline = chainStart + options.epochTimeLimitSeconds;
       const auto attempt =
           [&](const Solver& solver, int depth) -> std::optional<IntegralSchedule> {
@@ -670,26 +541,21 @@ ServingStats runServingImpl(
                                      static_cast<double>(depth)});
           return std::nullopt;
         }
-        const bool isAsyncPrimary = depth == 0 && asyncPrimary.submitted;
         std::unique_ptr<CancelToken> token;
         double granted = std::numeric_limits<double>::infinity();
         double attemptStart = 0.0;
-        if (isAsyncPrimary) {
-          granted = asyncPrimary.granted;
-          attemptStart = asyncPrimary.start;
-        } else if (limited) {
+        if (limited) {
           attemptStart = nowSeconds();
           granted = chainDeadline - attemptStart;
           if (granted > 0.0) {
             token = std::make_unique<CancelToken>(granted, options.clock);
           }
         }
-        const CancelToken* activeToken =
-            isAsyncPrimary ? asyncPrimary.token.get() : token.get();
         std::optional<IntegralSchedule> s;
         bool cancelledOutcome = false;
         try {
-          SolveOutcome outcome = solveAt(solver, depth, activeToken);
+          SolveOutcome outcome =
+              solver.solve(inst, contextFor(solver, token.get()));
           cancelledOutcome = outcome.cancelled();
           // Inside the try: a missing schedule is a policy failure the
           // chain absorbs, same as any other solver exception.
@@ -705,10 +571,9 @@ ServingStats runServingImpl(
         // An attempt times out when the solver observed its token and
         // stopped early (kCancelled), or — for slow non-cooperative spans —
         // when it ran past its granted budget post hoc. Unguarded attempts
-        // (activeToken == nullptr, budget already blown) are never flagged.
+        // (token == nullptr, budget already blown) are never flagged.
         const double elapsed = limited ? nowSeconds() - attemptStart : 0.0;
-        if (cancelledOutcome ||
-            (activeToken != nullptr && elapsed > granted)) {
+        if (cancelledOutcome || (token != nullptr && elapsed > granted)) {
           if (depth == 0) ++stats.policyFailures;
           ++stats.policyTimeouts;
           stats.incidents.push_back(
@@ -754,17 +619,6 @@ ServingStats runServingImpl(
       return *std::move(s);
     }();
 
-    if (overlapEligible) {
-      // Defer this epoch's execution: it runs inside the next iteration's
-      // overlap window (or in the post-loop flush at the horizon), while
-      // the next epoch's solve is in flight.
-      pendingExec.emplace(PendingExec{std::move(inst), std::move(sched),
-                                      std::move(active), std::move(order),
-                                      epochEnd});
-      active.clear();
-      continue;
-    }
-
     FaultContext ctx;
     if (faults.enabled()) {
       ctx.trace = &faults;
@@ -802,8 +656,29 @@ ServingStats runServingImpl(
                                    static_cast<double>(exhaustedHere)});
       }
     }
+    // Execute and account: energy, per-request FLOPs and completion time,
+    // interruptions, and deadline misses. `order` maps the instance's
+    // deadline-sorted tasks to their slots in `active`.
     const ExecutionResult exec =
-        executeEpoch(inst, sched, ctx, active, order, epochEnd);
+        executeSchedule(inst, sched, CommModel{}, ctx);
+    stats.totalEnergy += exec.totalEnergy;
+    for (int j = 0; j < inst.numTasks(); ++j) {
+      const TaskExecution& te = exec.executions[static_cast<std::size_t>(j)];
+      Active& req = active[order[static_cast<std::size_t>(j)]];
+      if (te.executed && te.flops > 0.0) {
+        req.flopsDone += te.flops;
+        req.lastFinish = epochEnd + te.finish;
+      }
+      if (te.interrupted) {
+        req.interrupted = true;
+        ++req.retryCount;
+        ++stats.interruptions;
+      }
+      if (!te.deadlineMet) {
+        ++stats.deadlineMisses;
+        stats.missPenalty += req.missPenalty;
+      }
+    }
     if (battery.active()) {
       // Drain by the energy actually consumed (busy seconds × power), which
       // a cut bounds at the machine's stored charge up to rounding.
@@ -815,10 +690,9 @@ ServingStats runServingImpl(
 
     retire();
   }
-  // Horizon over: flush the last deferred epoch, then retire whatever is
-  // still in flight. Arrivals at or past the horizon (possible with
-  // caller-provided times) are outside the simulation and not counted.
-  flushPending();
+  // Horizon over: retire whatever is still in flight. Arrivals at or past the
+  // horizon (possible with caller-provided times) are outside the simulation
+  // and not counted.
   for (const Active& req : active) finalize(req);
 
   if (stats.requests > 0) {

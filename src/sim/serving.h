@@ -3,8 +3,9 @@
 // Simulates an inference service: requests arrive as a Poisson process, each
 // with a task efficiency θ and a relative deadline; every `epoch` seconds
 // the pending batch is scheduled by a pluggable policy under a per-epoch
-// energy budget and executed on the simulated cluster. This is the
-// "cloud inference service" substrate motivating the paper's problem.
+// energy budget and executed on the simulated cluster, one epoch at a time
+// on the calling thread. This is the "cloud inference service" substrate
+// motivating the paper's problem.
 #pragma once
 
 #include <cstdint>
@@ -96,34 +97,22 @@ struct ServingOptions {
   /// injected `clock`; with the default steady clock it is wall-clock based
   /// and therefore not replay-deterministic.
   double epochTimeLimitSeconds = 0.0;
-  /// Run epoch solves on a background thread, double-buffered with
-  /// execution: while epoch k's schedule executes, epoch k+1's solve is
-  /// already running. The driver always drains the solve future (the
-  /// cooperative token, not a wall-clock wait, enforces the deadline), so
-  /// results are bit-identical to synchronous serving for deterministic
-  /// policies; only the wall-clock overlap differs. Overlap is suppressed
-  /// (solves still run on the background thread, without pipelining) when
-  /// execution feeds back into the next epoch's batch: backlog carry-over,
-  /// fault injection, or admission control.
-  bool asyncServing = false;
   /// Clock used for the epoch solve budget (seconds, monotonic). Empty uses
-  /// std::chrono::steady_clock. An injected clock must be callable from the
-  /// background solve thread concurrently with the driver (make it atomic);
-  /// tests inject a fake clock to make timeout behaviour deterministic.
+  /// std::chrono::steady_clock. An injected clock must be thread-safe
+  /// (sharded cells poll the token in parallel); tests inject a fake clock
+  /// to make timeout behaviour deterministic.
   ClockFn clock{};
-  /// Ordered fallback chain, as solver-registry names: when the primary
-  /// policy fails (throw, injected failure, timeout, validator rejection) in
-  /// a guarded run, each chain entry is attempted in order — skipping
-  /// entries equal to the primary — and the first feasible schedule serves
-  /// the epoch; if every entry fails the epoch serves an empty schedule.
+  /// Ordered fallback chain, as solver-registry names. A run is guarded
+  /// when faults.enabled or epochTimeLimitSeconds > 0; every schedule of a
+  /// guarded run passes the feasibility validator. When the primary policy
+  /// fails there (throw, injected failure, timeout, validator rejection),
+  /// each chain entry is attempted in order — skipping entries equal to
+  /// the primary — and the first feasible schedule serves the epoch; if
+  /// every entry fails the epoch serves an empty schedule.
   /// The default single-entry chain reproduces the historical hardcoded
   /// EDF-3-levels demotion bit-identically. Every entry must name a
   /// registered solver with the `integral` capability.
   std::vector<std::string> fallbackChain{"edf3"};
-  /// Run the feasibility validator on every epoch's schedule and fall back
-  /// when it rejects. Implied by faults.enabled; off by default to keep the
-  /// default path bit-identical to the pre-fault driver.
-  bool validateEpochs = false;
   /// Shard the primary policy's epoch solves into K budget-partitioned
   /// cells coordinated by the Lagrangian energy-price loop (DESIGN.md §18,
   /// shard/coordinator.h): the epoch instance is split deterministically,
@@ -205,8 +194,8 @@ struct ServingStats {
   int policyFailures = 0;      ///< primary-policy throws/timeouts/injections
   int policyTimeouts = 0;      ///< attempts over the epoch solve budget
                                ///< (any depth; cancelled mid-solve or post hoc)
-  int asyncEpochs = 0;         ///< epochs whose primary solve ran on the
-                               ///< async pipeline thread
+  int asyncEpochs = 0;         ///< always 0 (one serving thread); kept so
+                               ///< stats digests keep their field list
   int validatorRejections = 0; ///< schedules rejected by the validator gate
   int budgetShockEpochs = 0;
   int noMachineEpochs = 0;     ///< epochs with every machine crashed/departed

@@ -19,8 +19,8 @@
 namespace dsct {
 
 /// Monotonic clock source, seconds since an arbitrary epoch. Must be
-/// callable from multiple threads concurrently (async serving polls it
-/// from the solve thread while the driver reads it from the sim thread).
+/// callable from multiple threads concurrently (a sharded solve's cells
+/// poll one token from several pool workers at once).
 using ClockFn = std::function<double()>;
 
 /// The default wall clock: std::chrono::steady_clock, in seconds.

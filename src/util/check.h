@@ -7,6 +7,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace dsct {
 
@@ -14,7 +15,18 @@ namespace dsct {
 /// failure catchable in tests while signalling a programming/contract error.
 class CheckError : public std::logic_error {
  public:
-  explicit CheckError(const std::string& what) : std::logic_error(what) {}
+  explicit CheckError(const std::string& what, std::string message = {})
+      : std::logic_error(what),
+        message_(message.empty() ? what : std::move(message)) {}
+
+  /// The failure in the contract's own words — its message, or its
+  /// expression when it has none — without the "check failed … at FILE:LINE"
+  /// frame of what(). Input readers use it to re-report a contract that a
+  /// record broke at that record's line.
+  const std::string& message() const { return message_; }
+
+ private:
+  std::string message_;
 };
 
 namespace detail {
@@ -23,7 +35,7 @@ namespace detail {
   std::ostringstream os;
   os << "check failed: " << expr << " at " << file << ':' << line;
   if (!msg.empty()) os << " — " << msg;
-  throw CheckError(os.str());
+  throw CheckError(os.str(), msg.empty() ? std::string(expr) : msg);
 }
 }  // namespace detail
 

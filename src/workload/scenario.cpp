@@ -637,6 +637,14 @@ std::vector<Machine> materializeMachines(const Scenario& scenario) {
 std::vector<sim::RequestSpec> materializeRequests(const Scenario& scenario) {
   std::vector<sim::RequestSpec> out;
   const double horizon = scenario.serving.horizonSeconds;
+  // A caller's override (the CLI's --horizon) bypasses the parser's check;
+  // name it instead of materialising an empty trace.
+  if (!(std::isfinite(horizon) && horizon > 0.0)) {
+    std::ostringstream msg;
+    msg << "scenario '" << scenario.name
+        << "': horizonSeconds must be finite and > 0, got " << horizon;
+    throw CheckError(msg.str());
+  }
   for (std::size_t c = 0; c < scenario.taskClasses.size(); ++c) {
     const TaskClass& tc = scenario.taskClasses[c];
     const double start = tc.startSeconds;

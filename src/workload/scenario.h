@@ -200,6 +200,8 @@ std::vector<Machine> materializeMachines(const Scenario& scenario);
 
 /// Sample every task class over its arrival window and merge the result into
 /// one trace, stable-sorted by arrival time. Deterministic per scenario.
+/// Throws CheckError naming horizonSeconds unless the horizon is finite and
+/// > 0.
 std::vector<sim::RequestSpec> materializeRequests(const Scenario& scenario);
 
 /// ServingOptions for the scenario: serving-block settings plus the

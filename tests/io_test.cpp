@@ -166,6 +166,39 @@ TEST(InstanceIo, StreamErrorsCarryNoCheckInternals) {
   }
 }
 
+TEST(InstanceIo, RecordContractErrorsNameTheirLine) {
+  // A record that parses but breaks a Task/Instance contract is reported at
+  // its own line, in the contract's words, without check internals.
+  const auto expectContract = [](const std::string& text,
+                                 const std::string& prefix) {
+    std::stringstream in(text);
+    try {
+      io::readInstance(in);
+      ADD_FAILURE() << "accepted:\n" << text;
+    } catch (const CheckError& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind(prefix, 0), 0u) << what;
+      EXPECT_EQ(what.find("check failed"), std::string::npos) << what;
+      EXPECT_EQ(what.find(".cpp:"), std::string::npos) << what;
+    }
+  };
+  expectContract("dsct-instance v1\nbudget 1\nmachine m0 1.0 0.01\n"
+                 "task t0 1.0 2 0 0.9 3 0.1\nend\n",
+                 "line 4: accuracy must be non-decreasing");
+  expectContract("dsct-instance v1\nbudget 1\nmachine m0 1.0 0.01\n"
+                 "task t0 1.0 2 1 0.1 3 0.9\nend\n",
+                 "line 4: first breakpoint must be 0");
+  expectContract("dsct-instance v1\nbudget 1\nmachine m0 1.0 0.01\n"
+                 "task t0 -1.0 2 0 0.1 3 0.9\nend\n",
+                 "line 4: deadline must be >= 0");
+  expectContract("dsct-instance v1\nbudget 1\nmachine m0 0 0.01\nend\n",
+                 "line 3: machine speed and efficiency must be > 0");
+  expectContract("dsct-instance v1\nbudget -1\nmachine m0 1.0 0.01\nend\n",
+                 "line 2: budget must be >= 0");
+  expectContract("dsct-instance v1\nbudget 1\nend\n",
+                 "missing 'machine' line");
+}
+
 TEST(InstanceIo, GarbageInputsThrowCleanly) {
   // Deterministic pseudo-random byte soup: the reader must throw CheckError
   // (never crash or accept) on every sample.
@@ -290,6 +323,28 @@ TEST(InstanceIo, FileErrorsNameThePathNotTheCheck) {
   }
   expectFileError([&] { io::readScheduleFile(badSchedule, inst); },
                   badSchedule, "line 2: expected number");
+}
+
+TEST(InstanceIo, ContractErrorInFileNamesPathAndLine) {
+  // A contract error read from a file carries the path and the record's
+  // line, as the reader's own format errors do.
+  const std::string path = ::testing::TempDir() + "/io_decreasing_inst.txt";
+  {
+    std::ofstream out(path);
+    out << "dsct-instance v1\nbudget 1\nmachine m0 1.0 0.01\n"
+           "task t0 1.0 2 0 0.9 3 0.1\nend\n";
+  }
+  try {
+    io::readInstanceFile(path);
+    ADD_FAILURE() << "accepted " << path;
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what.rfind(path + ": line 4: accuracy must be non-decreasing",
+                         0),
+              0u)
+        << what;
+    EXPECT_EQ(what.find("check failed"), std::string::npos) << what;
+  }
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Availability-aware serving: bit-identity of the disabled path, seeded
 // replay, departure exclusion, battery exhaustion/recharge coupling, the
-// capability-gated EDF-3 hints, and async equivalence.
+// and the capability-gated EDF-3 hints.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -217,20 +217,6 @@ TEST(AvailabilityServing, AvailabilityAwareEdf3RespectsPerMachineCharge) {
   }
   const auto unaware = sim::runServing(machines, std::string("edf"), options);
   EXPECT_GT(unaware.batteryExhaustions, 0);
-}
-
-// ----------------------------------------------------------------- async --
-
-TEST(AvailabilityServing, AsyncServingMatchesSynchronousBitForBit) {
-  // Availability feeds execution back into the next epoch's budget, so the
-  // async pipeline suppresses the overlap; results must stay identical.
-  const auto machines = machinesFromCatalog({"T4", "V100", "P100"});
-  auto options = availableOptions();
-  const auto sync = sim::runServing(machines, "approx", options);
-  options.asyncServing = true;
-  const auto async = sim::runServing(machines, "approx", options);
-  expectStatsEqual(sync, async);
-  EXPECT_GT(async.asyncEpochs, 0);  // solves still ran on the pipeline thread
 }
 
 }  // namespace

@@ -390,7 +390,10 @@ TEST(FaultServing, AdmissionControlShedsLowestHeadroom) {
   const auto machines = machinesFromCatalog({"T4"});
   auto options = referenceOptions();
   options.arrivalRatePerSecond = 40.0;
-  options.validateEpochs = true;  // engage the guarded path without faults
+  // Engage the guarded chain without faults, as a user would: a solve
+  // budget under a clock that never advances, so no attempt times out.
+  options.epochTimeLimitSeconds = 1.0;
+  options.clock = [] { return 0.0; };
   options.admissionLoadFactor = 3.0;  // ≤ 3 requests per epoch on 1 machine
   const auto s = sim::runServing(machines, "approx", options);
   options.admissionLoadFactor = 0.0;
@@ -410,12 +413,15 @@ TEST(FaultServing, AdmissionControlShedsLowestHeadroom) {
 }
 
 TEST(FaultServing, ValidatedEpochsMatchUnguardedRun) {
-  // validateEpochs only gates infeasible schedules; with a well-behaved
-  // policy the guarded run must reproduce the unguarded stats exactly.
+  // The guarded chain validates every epoch's schedule but only acts on
+  // infeasible ones; with a well-behaved policy and a solve budget that
+  // never expires (the injected clock never advances), the guarded run must
+  // reproduce the unguarded stats exactly.
   const auto machines = machinesFromCatalog({"T4", "V100"});
   auto options = referenceOptions();
   const auto plain = sim::runServing(machines, "approx", options);
-  options.validateEpochs = true;
+  options.epochTimeLimitSeconds = 1.0;
+  options.clock = [] { return 0.0; };
   const auto gated = sim::runServing(machines, "approx", options);
   expectStatsEqual(plain, gated);
 }

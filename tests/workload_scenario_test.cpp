@@ -585,6 +585,26 @@ TEST(ScenarioMaterialise, EmptyTraceIsRejectedLoudly) {
   EXPECT_THROW(makeServingOptions(sc), CheckError);
 }
 
+TEST(ScenarioMaterialise, OverriddenHorizonIsRejectedByName) {
+  // A horizon overridden after parsing (the CLI's --horizon) is checked
+  // before materialising, not reported as an empty trace.
+  Scenario sc = parseScenario(
+      "machine class {\n  name: p\n  gpus: T4\n}\n"
+      "task class {\n  name: t\n  arrival: poisson 5\n}\n"
+      "serving {\n  horizon: 4\n}\n");
+  for (const double horizon : {-5.0, 0.0}) {
+    sc.serving.horizonSeconds = horizon;
+    try {
+      makeServingOptions(sc);
+      ADD_FAILURE() << "accepted horizon " << horizon;
+    } catch (const CheckError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("horizonSeconds"), std::string::npos) << what;
+      EXPECT_EQ(what.find("check failed"), std::string::npos) << what;
+    }
+  }
+}
+
 TEST(ScenarioMaterialise, InstanceSnapshotsTheWholeRun) {
   const Scenario sc = parseScenario(
       "machine class {\n  name: p\n  gpus: T4, V100\n}\n"

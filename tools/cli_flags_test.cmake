@@ -1,6 +1,7 @@
 # `dsct_cli` flag checks: every subcommand rejects a flag it does not take
-# or that is given twice, and a numeric flag must parse as a whole token.
-# Each case exits 1 with an error naming the flag.
+# or that is given twice, a numeric flag must parse as a whole token, and a
+# count must be at least 1. Each case exits 1 with an error naming the flag,
+# without the check macro's "check failed … at FILE:LINE" text.
 function(expect_rejected flag)
   string(JOIN " " args ${ARGN})
   execute_process(COMMAND ${CLI} ${ARGN} RESULT_VARIABLE code
@@ -12,6 +13,10 @@ function(expect_rejected flag)
   if(at EQUAL -1)
     message(FATAL_ERROR "${args}: error does not name ${flag}:\n${err}")
   endif()
+  string(FIND "${err}" "check failed" at)
+  if(NOT at EQUAL -1)
+    message(FATAL_ERROR "${args}: error shows check internals:\n${err}")
+  endif()
 endfunction()
 
 set(inst ${WORKDIR}/flags_inst.json)
@@ -21,9 +26,10 @@ if(NOT code EQUAL 0)
   message(FATAL_ERROR "generate failed (${code})")
 endif()
 
-# Unknown flags, including the removed --no-lp-warm and --lp-engine.
+# Unknown flags, including the removed --no-lp-warm, --lp-engine and --async.
 expect_rejected(--bogus serve --bogus 1)
 expect_rejected(--no-lp-warm serve --horizon 1 --no-lp-warm)
+expect_rejected(--async serve --horizon 1 --async)
 expect_rejected(--lp-engine solve ${inst} --lp-engine dense)
 expect_rejected(--bogus solve ${inst} --bogus)
 expect_rejected(--frobnicate generate --tasks 4 --out ${WORKDIR}/unused.json
@@ -45,6 +51,10 @@ expect_rejected(--shards serve --horizon 1 --shards 1.5)
 expect_rejected(--seed serve --seed 99999999999)
 expect_rejected(--tasks generate --tasks 10abc --out ${WORKDIR}/unused.json)
 expect_rejected(--time-limit solve ${inst} --time-limit fast)
+
+# Counts must be at least 1.
+expect_rejected(--tasks generate --tasks 0 --out ${WORKDIR}/unused.json)
+expect_rejected(--machines generate --machines -2 --out ${WORKDIR}/unused.json)
 
 # Well-formed values stay accepted.
 execute_process(COMMAND ${CLI} serve --horizon 1 --rate 1.5e1 --shards 0

@@ -12,6 +12,7 @@ function(expect_rejected field)
   if(NOT err MATCHES "${field}")
     message(FATAL_ERROR "serve ${args}: error does not name ${field}:\n${err}")
   endif()
+  set(last_err "${err}" PARENT_SCOPE)
 endfunction()
 
 expect_rejected(energyBudgetPerEpoch --horizon 1 --budget nan)
@@ -22,6 +23,17 @@ expect_rejected(shards --horizon 1 --shards -3)
 expect_rejected(epochSeconds --horizon 1 --epoch 0)
 expect_rejected(epochSeconds --horizon 1 --epoch -0.5)
 expect_rejected(admissionLoadFactor --horizon 1 --load-factor -1)
+
+# A scenario's horizon override is checked before the trace is materialised,
+# and the error carries no check-macro text.
+set(diurnal ${SCENARIO_DIR}/diurnal.dsct)
+expect_rejected(horizonSeconds --scenario ${diurnal} --horizon -5)
+set(negative_err "${last_err}")
+expect_rejected(horizonSeconds --scenario ${diurnal} --horizon 0)
+if("${negative_err}${last_err}" MATCHES "check failed")
+  message(FATAL_ERROR "scenario horizon errors show check internals:\n"
+                      "${negative_err}\n${last_err}")
+endif()
 
 # The boundary values stay accepted.
 execute_process(COMMAND ${CLI} serve --horizon 1 --budget 0 --shards 0

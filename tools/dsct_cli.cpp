@@ -1,25 +1,4 @@
-// dsct command-line tool.
-//
-//   dsct_cli solvers
-//   dsct_cli generate --tasks N --machines M [--rho R] [--beta B]
-//            [--theta-min T] [--theta-max T] [--seed S] --out FILE
-//   dsct_cli solve INSTANCE [--algo NAME] [--time-limit SEC]
-//            [--out SCHEDULE]
-//   dsct_cli info INSTANCE [--tasks]
-//   dsct_cli validate INSTANCE SCHEDULE
-//   dsct_cli simulate INSTANCE SCHEDULE [--trace]
-//   dsct_cli scenarios [DIR]
-//   dsct_cli serve [--scenario FILE] [--policy NAME]
-//            [--fallback NAME,NAME,...]
-//            [--gpus T4,V100] [--rate R] [--horizon S] [--epoch S]
-//            [--budget J] [--seed N] [--backlog] [--load-factor F]
-//            [--faults] [--fault-seed N] [--mtbf S] [--mttr S]
-//            [--slow-mtbf S] [--slow-mean S] [--slow-factor F]
-//            [--shock-prob P] [--shock-factor F] [--max-retries N]
-//            [--epoch-time-limit S] [--async] [--incidents]
-//            [--avail] [--avail-seed N] [--depart-mtbf S] [--depart-mean S]
-//            [--battery J] [--battery-init F] [--recharge W]
-//            [--no-battery-cap] [--incidents-csv FILE]
+// dsct command-line tool; usage() below lists every subcommand and flag.
 //
 // `--algo` and `--policy` accept any name or alias from the solver registry
 // (run `dsct_cli solvers` for the list); `--policy` and `--fallback` are
@@ -74,6 +53,13 @@ struct Args {
                                                      std::size_t* used) {
       return std::stoi(text, used);
     });
+  }
+  /// getInt for a count, which must be at least 1.
+  int getCount(const std::string& key, int fallback) const {
+    const int value = getInt(key, fallback);
+    if (value >= 1) return value;
+    throw std::invalid_argument("--" + key + ": expected an integer >= 1" +
+                                ", got '" + get(key, "") + "'");
   }
 
  private:
@@ -134,7 +120,7 @@ int usage() {
       "           [--faults] [--fault-seed N] [--mtbf S] [--mttr S]\n"
       "           [--slow-mtbf S] [--slow-mean S] [--slow-factor F]\n"
       "           [--shock-prob P] [--shock-factor F] [--max-retries N]\n"
-      "           [--epoch-time-limit S] [--async] [--incidents]\n"
+      "           [--epoch-time-limit S] [--incidents]\n"
       "           [--avail] [--avail-seed N] [--depart-mtbf S]\n"
       "           [--depart-mean S] [--battery J] [--battery-init F]\n"
       "           [--recharge W] [--no-battery-cap] [--incidents-csv FILE]\n"
@@ -186,8 +172,8 @@ int cmdSolvers(const Args&) {
 int cmdGenerate(const Args& args) {
   if (!args.has("out")) return usage();
   ScenarioSpec spec;
-  spec.numTasks = args.getInt("tasks", 20);
-  spec.numMachines = args.getInt("machines", 3);
+  spec.numTasks = args.getCount("tasks", 20);
+  spec.numMachines = args.getCount("machines", 3);
   spec.rho = args.getDouble("rho", 0.35);
   spec.beta = args.getDouble("beta", 0.5);
   const double thetaMin = args.getDouble("theta-min", 0.1);
@@ -473,11 +459,10 @@ int cmdServe(const Args& args) {
   faults.budgetShockFactor =
       args.getDouble("shock-factor", faults.budgetShockFactor);
   faults.maxRetries = args.getInt("max-retries", faults.maxRetries);
-  // Per-epoch solve budget (cooperative cancellation) and the async
-  // double-buffered pipeline; see ServingOptions for semantics.
+  // Per-epoch solve budget (cooperative cancellation); see ServingOptions
+  // for semantics.
   options.epochTimeLimitSeconds =
       args.getDouble("epoch-time-limit", options.epochTimeLimitSeconds);
-  if (args.has("async")) options.asyncServing = true;
 
   const sim::ServingStats s = sim::runServing(machines, policy, options);
   if (!scenarioName.empty()) {
@@ -504,9 +489,8 @@ int cmdServe(const Args& args) {
               << "shocked epochs : " << s.budgetShockEpochs << " ("
               << s.noMachineEpochs << " with no machine alive)\n";
   }
-  if (options.epochTimeLimitSeconds > 0.0 || options.asyncServing) {
-    std::cout << "solve timeouts : " << s.policyTimeouts << '\n'
-              << "async epochs   : " << s.asyncEpochs << '\n';
+  if (options.epochTimeLimitSeconds > 0.0) {
+    std::cout << "solve timeouts : " << s.policyTimeouts << '\n';
   }
   if (options.availability.enabled) {
     std::cout << "departures     : " << s.machineDepartures
@@ -572,7 +556,7 @@ const std::map<std::string, std::set<std::string>>& knownFlags() {
         "budget", "seed", "backlog", "load-factor", "faults", "fault-seed",
         "mtbf", "mttr", "slow-mtbf", "slow-mean", "slow-factor",
         "shock-prob", "shock-factor", "max-retries", "epoch-time-limit",
-        "async", "incidents", "avail", "avail-seed", "depart-mtbf",
+        "incidents", "avail", "avail-seed", "depart-mtbf",
         "depart-mean", "battery", "battery-init", "recharge",
         "no-battery-cap", "incidents-csv", "shards", "shard-seed"}},
   };
