@@ -10,8 +10,6 @@
 #include "util/csv.h"
 #include "util/rng.h"
 #include "util/table.h"
-#include "util/thread_pool.h"
-#include "util/timer.h"
 #include "workload/generator.h"
 
 int main() {
@@ -109,64 +107,5 @@ int main() {
                "The live-donor scan examines at most one donor per transfer "
                "plus one per grower (donor checks <= transfers + slack "
                "queries).\n";
-
-  // --- Cross-solve cache ablation -------------------------------------------
-  // FR-OPT with the sharded cross-solve ProfileCache on a pool, whose workers
-  // read the cache concurrently: a cold solve populates the cache, a warm
-  // re-solve reuses it. Results are bit-identical either way
-  // (tests/sched_concurrent_cache_test.cpp); the shard-hit and contention
-  // columns show how the concurrent reads behave.
-  bench::printHeader("Ablation — cross-solve profile cache, cold vs warm",
-                     "Sharded ProfileCache + pooled evaluation");
-  const std::vector<int> cacheSizes = bench::fullScale()
-                                          ? std::vector<int>{100, 200, 400}
-                                          : std::vector<int>{60, 120};
-  ThreadPool cachePool;
-  Table cacheTable({"n", "cold s", "warm s", "cross hits", "cross misses",
-                    "contended", "shards"});
-  CsvWriter cacheCsv("ablation_refine_cache.csv",
-                     {"n", "cold_seconds", "warm_seconds", "cross_hits",
-                      "cross_misses", "cross_contended", "cache_shards"});
-  for (int nn : cacheSizes) {
-    Rng rng(deriveSeed(6160, static_cast<std::uint64_t>(nn)));
-    std::vector<Machine> machines{Machine{2.0, 80e-3, "m1"},
-                                  Machine{5.0, 70e-3, "m2"}};
-    const auto thetas =
-        makeThetasEarliestHighEfficient(nn, 0.3, 4.0, 4.9, 0.1, 1.0, rng);
-    ScenarioSpec spec;
-    spec.numTasks = nn;
-    spec.numMachines = 2;
-    spec.rho = 0.01;
-    spec.beta = 0.2;
-    const Instance inst = buildInstance(std::move(machines), thetas, spec, rng);
-
-    ProfileCache cache;
-    FrOptOptions opts;
-    opts.sharedCache = &cache;
-    opts.pool = &cachePool;
-
-    Stopwatch coldWatch;
-    solveFrOpt(inst, opts);
-    const double coldSeconds = coldWatch.elapsedSeconds();
-
-    Stopwatch warmWatch;
-    const FrOptResult warm = solveFrOpt(inst, opts);
-    const double warmSeconds = warmWatch.elapsedSeconds();
-
-    const std::vector<double> row{static_cast<double>(nn), coldSeconds,
-                                  warmSeconds,
-                                  static_cast<double>(warm.counters.crossHits),
-                                  static_cast<double>(warm.counters.crossMisses),
-                                  static_cast<double>(
-                                      warm.counters.crossContended),
-                                  static_cast<double>(
-                                      warm.counters.crossShards)};
-    cacheTable.addRow(row);
-    cacheCsv.addRow(row);
-  }
-  cacheTable.print(std::cout);
-  std::cout << "\ntakeaway: the warm solve replays the cold solve's "
-               "evaluations out of the sharded cache; contention stays low "
-               "because the shard index spreads the exact-bit keys.\n";
   return 0;
 }

@@ -1,11 +1,11 @@
 // Microbench: pooled evaluateBatch vs serial.
 //
 // Times ProfileEvaluator::evaluateBatch over a batch of random energy
-// profiles serially and on a pool of hardware_concurrency() threads (the
-// workers read the sharded cross-solve cache concurrently), asserts the two
-// answer vectors are bitwise identical, and reports the speedup. On a
-// single-core host the bench degrades gracefully: it reports "1 core" and
-// skips the speedup claim rather than printing a meaningless ratio.
+// profiles serially and on a pool of hardware_concurrency() threads,
+// asserts the two answer vectors are bitwise identical, and reports the
+// speedup. On a single-core host the bench degrades gracefully: it reports
+// "1 core" and skips the speedup claim rather than printing a meaningless
+// ratio.
 //
 // CSV: micro_parallel_eval.csv
 //   profiles,n,m,cores,serial_seconds,pooled_seconds,speedup_pooled,identical
@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "sched/profile_cache.h"
 #include "sched/profile_evaluator.h"
 #include "util/csv.h"
 #include "util/rng.h"
@@ -28,13 +27,12 @@ namespace {
 
 using namespace dsct;
 
-/// One timed evaluateBatch run through a fresh evaluator + cache, so every
-/// mode starts cold and no mode inherits another's memo.
+/// One timed evaluateBatch run through a fresh evaluator, so every mode
+/// starts cold and no mode inherits another's memo.
 double timedBatch(const Instance& inst,
                   const std::vector<EnergyProfile>& profiles, ThreadPool* pool,
                   std::vector<double>* out) {
-  ProfileCache cache;
-  ProfileEvaluator evaluator(inst, &cache);
+  ProfileEvaluator evaluator(inst);
   Stopwatch watch;
   *out = evaluator.evaluateBatch(profiles, pool);
   return watch.elapsedSeconds();

@@ -10,10 +10,9 @@
 // FrOptResult, BaselineResult, MipSolveSummary, LpResult).
 //
 // A `SolveContext` carries everything callers used to re-plumb ad hoc: the
-// FR-OPT options (refine configuration, worker pool, the cross-solve
-// ProfileCache the serving loop shares across epochs) and the LP/MIP time
-// limits. Passing the same context to every solve is what makes an
-// experiment run exercise the exact configuration the serving loop does.
+// FR-OPT options (refine configuration, worker pool, cancellation) and the
+// LP/MIP time limits. Passing the same context to every solve is what makes
+// an experiment run exercise the exact configuration the serving loop does.
 //
 // Dispatching through this API is numerically invisible: a registry solve
 // calls the same underlying function with the same options, so outcomes are
@@ -52,8 +51,6 @@ struct SolverCapabilities {
   bool integral = true;
   /// Produces a fractional schedule (the DSCT-EA-FR relaxation).
   bool fractional = false;
-  /// Honours SolveContext::frOpt.sharedCache (cross-solve ProfileCache).
-  bool usesProfileCache = false;
   /// Honours SolveContext::frOpt.pool.
   bool usesThreadPool = false;
   /// Exact method (MIP / LP) rather than an approximation or heuristic.
@@ -98,8 +95,8 @@ struct LpWarmStartSlot {
 /// Shared per-call configuration, threaded through every dispatch layer
 /// instead of each one re-plumbing options ad hoc.
 struct SolveContext {
-  /// Refine options, worker pool, cross-solve ProfileCache — consumed by
-  /// the approx / fr-opt solvers.
+  /// Refine options and worker pool — consumed by the approx / fr-opt
+  /// solvers.
   FrOptOptions frOpt;
   /// Branch-and-bound options (time limit, node limit) for the MIP solvers.
   lp::MipOptions mip;

@@ -158,7 +158,7 @@ const Solver& SolverRegistry::resolve(const std::string& nameOrAlias) const {
     msg << "unknown solver '" << nameOrAlias << "' (registered:";
     for (const std::string& name : names()) msg << ' ' << name;
     msg << ')';
-    DSCT_CHECK_MSG(false, msg.str());
+    DSCT_ENSURE(false, msg.str());
   }
   return *solver;
 }
@@ -190,7 +190,6 @@ SolverRegistry::SolverRegistry() {
   SolverCapabilities approxCaps;
   approxCaps.integral = true;
   approxCaps.fractional = true;
-  approxCaps.usesProfileCache = true;
   approxCaps.usesThreadPool = true;
   approxCaps.availabilityAware = true;  // honours per-machine energy caps
   add(makeSolver(
@@ -217,7 +216,6 @@ SolverRegistry::SolverRegistry() {
   SolverCapabilities frOptCaps;
   frOptCaps.integral = false;
   frOptCaps.fractional = true;
-  frOptCaps.usesProfileCache = true;
   frOptCaps.usesThreadPool = true;
   frOptCaps.availabilityAware = true;  // honours per-machine energy caps
   add(makeSolver(
@@ -282,7 +280,6 @@ SolverRegistry::SolverRegistry() {
   mipCaps.exact = true;
   mipCaps.deterministic = false;  // the incumbent depends on the time limit
   SolverCapabilities mipWarmCaps = mipCaps;
-  mipWarmCaps.usesProfileCache = true;  // via the approx warm start
   mipWarmCaps.usesThreadPool = true;
   mipWarmCaps.usesLpWarmStart = true;  // root relaxation basis carry
   add(makeSolver("mip-warm", "DSCT-EA-Opt (MIP, warm-started)", mipWarmCaps,

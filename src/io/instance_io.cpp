@@ -10,17 +10,6 @@
 
 #include "util/check.h"
 
-// A malformed-input check: on failure throws CheckError with `msg` alone,
-// without the expression text and source location DSCT_CHECK_MSG adds.
-#define DSCT_IO_ENSURE(expr, msg)                \
-  do {                                           \
-    if (!(expr)) {                               \
-      std::ostringstream os_;                    \
-      os_ << msg;                                \
-      throw ::dsct::CheckError(os_.str());       \
-    }                                            \
-  } while (0)
-
 namespace dsct::io {
 
 namespace {
@@ -60,25 +49,25 @@ double parseDouble(const std::string& token, int line) {
   try {
     value = std::stod(token, &consumed);
   } catch (const std::exception&) {
-    DSCT_IO_ENSURE(false, "line " << line << ": expected number, got '"
-                                  << token << "'");
+    DSCT_ENSURE(false, "line " << line << ": expected number, got '"
+                               << token << "'");
   }
-  DSCT_IO_ENSURE(consumed == token.size(),
-                 "line " << line << ": trailing characters in '" << token
-                         << "'");
-  DSCT_IO_ENSURE(std::isfinite(value),
-                 "line " << line << ": non-finite number '" << token << "'");
+  DSCT_ENSURE(consumed == token.size(),
+              "line " << line << ": trailing characters in '" << token
+                      << "'");
+  DSCT_ENSURE(std::isfinite(value),
+              "line " << line << ": non-finite number '" << token << "'");
   return value;
 }
 
 int parseInt(const std::string& token, int line) {
   const double value = parseDouble(token, line);
   // Range and integrality first: casting an out-of-range double is UB.
-  DSCT_IO_ENSURE(value >= std::numeric_limits<int>::min() &&
-                     value <= std::numeric_limits<int>::max() &&
-                     std::trunc(value) == value,
-                 "line " << line << ": expected integer, got '" << token
-                         << "'");
+  DSCT_ENSURE(value >= std::numeric_limits<int>::min() &&
+                  value <= std::numeric_limits<int>::max() &&
+                  std::trunc(value) == value,
+              "line " << line << ": expected integer, got '" << token
+                      << "'");
   return static_cast<int>(value);
 }
 
@@ -88,18 +77,18 @@ int parseInt(const std::string& token, int line) {
 std::vector<std::string> nextRecord(LineReader& reader) {
   const int previous = reader.lineNumber();
   std::vector<std::string> tokens = reader.next();
-  DSCT_IO_ENSURE(!tokens.empty(), "line " << previous
-                                          << ": file ends without an 'end' "
-                                             "line (truncated?)");
+  DSCT_ENSURE(!tokens.empty(), "line " << previous
+                                       << ": file ends without an 'end' "
+                                          "line (truncated?)");
   if (tokens[0] != "end") return tokens;
   const int line = reader.lineNumber();
-  DSCT_IO_ENSURE(tokens.size() == 1,
-                 "line " << line << ": 'end' takes no arguments");
+  DSCT_ENSURE(tokens.size() == 1,
+              "line " << line << ": 'end' takes no arguments");
   const std::vector<std::string> after = reader.next();
-  DSCT_IO_ENSURE(after.empty(), "line " << reader.lineNumber() << ": '"
-                                        << after[0]
-                                        << "' after 'end' (line " << line
-                                        << ")");
+  DSCT_ENSURE(after.empty(), "line " << reader.lineNumber() << ": '"
+                                     << after[0]
+                                     << "' after 'end' (line " << line
+                                     << ")");
   return {};
 }
 
@@ -160,10 +149,10 @@ void writeInstanceFile(const std::string& path, const Instance& inst) {
 Instance readInstance(std::istream& is) {
   LineReader reader(is);
   auto header = reader.next();
-  DSCT_IO_ENSURE(header.size() == 2 && header[0] == "dsct-instance" &&
-                     header[1] == "v1",
-                 "line " << reader.lineNumber()
-                         << ": expected 'dsct-instance v1' header");
+  DSCT_ENSURE(header.size() == 2 && header[0] == "dsct-instance" &&
+                  header[1] == "v1",
+              "line " << reader.lineNumber()
+                      << ": expected 'dsct-instance v1' header");
   double budget = 0.0;
   bool sawBudget = false;
   std::vector<Machine> machines;
@@ -172,31 +161,31 @@ Instance readInstance(std::istream& is) {
        tokens = nextRecord(reader)) {
     const int line = reader.lineNumber();
     if (tokens[0] == "budget") {
-      DSCT_IO_ENSURE(tokens.size() == 2, "line " << line << ": budget <J>");
+      DSCT_ENSURE(tokens.size() == 2, "line " << line << ": budget <J>");
       budget = parseDouble(tokens[1], line);
-      DSCT_IO_ENSURE(budget >= 0.0, "line " << line << ": budget must be >= 0");
+      DSCT_ENSURE(budget >= 0.0, "line " << line << ": budget must be >= 0");
       sawBudget = true;
     } else if (tokens[0] == "machine") {
-      DSCT_IO_ENSURE(tokens.size() == 4,
-                     "line " << line << ": machine <name> <speed> <eff>");
+      DSCT_ENSURE(tokens.size() == 4,
+                  "line " << line << ": machine <name> <speed> <eff>");
       const double speed = parseDouble(tokens[2], line);
       const double efficiency = parseDouble(tokens[3], line);
-      DSCT_IO_ENSURE(speed > 0.0 && efficiency > 0.0,
-                     "line " << line
-                             << ": machine speed and efficiency must be > 0");
+      DSCT_ENSURE(speed > 0.0 && efficiency > 0.0,
+                  "line " << line
+                          << ": machine speed and efficiency must be > 0");
       machines.push_back(Machine{speed, efficiency, unescapeName(tokens[1])});
     } else if (tokens[0] == "task") {
-      DSCT_IO_ENSURE(tokens.size() >= 4,
-                     "line " << line
-                             << ": task <name> <deadline> <numPoints> ...");
+      DSCT_ENSURE(tokens.size() >= 4,
+                  "line " << line
+                          << ": task <name> <deadline> <numPoints> ...");
       const double deadline = parseDouble(tokens[2], line);
-      DSCT_IO_ENSURE(deadline >= 0.0,
-                     "line " << line << ": deadline must be >= 0");
+      DSCT_ENSURE(deadline >= 0.0,
+                  "line " << line << ": deadline must be >= 0");
       const int points = parseInt(tokens[3], line);
-      DSCT_IO_ENSURE(points >= 2, "line " << line << ": need >= 2 points");
-      DSCT_IO_ENSURE(tokens.size() == 4 + 2 * static_cast<std::size_t>(points),
-                     "line " << line << ": expected " << 2 * points
-                             << " coordinates");
+      DSCT_ENSURE(points >= 2, "line " << line << ": need >= 2 points");
+      DSCT_ENSURE(tokens.size() == 4 + 2 * static_cast<std::size_t>(points),
+                  "line " << line << ": expected " << 2 * points
+                          << " coordinates");
       std::vector<double> flops;
       std::vector<double> values;
       for (int k = 0; k < points; ++k) {
@@ -212,22 +201,22 @@ Instance readInstance(std::istream& is) {
                              unescapeName(tokens[1])});
       } catch (const CheckError& e) {
         // The curve's own contract, reported at this record's line.
-        DSCT_IO_ENSURE(false, "line " << line << ": " << e.message());
+        DSCT_ENSURE(false, "line " << line << ": " << e.message());
       }
     } else {
-      DSCT_IO_ENSURE(false,
-                     "line " << line << ": unknown directive '" << tokens[0]
-                             << "'");
+      DSCT_ENSURE(false,
+                  "line " << line << ": unknown directive '" << tokens[0]
+                          << "'");
     }
   }
-  DSCT_IO_ENSURE(sawBudget, "missing 'budget' line");
-  DSCT_IO_ENSURE(!machines.empty(), "missing 'machine' line");
+  DSCT_ENSURE(sawBudget, "missing 'budget' line");
+  DSCT_ENSURE(!machines.empty(), "missing 'machine' line");
   return Instance(std::move(tasks), std::move(machines), budget);
 }
 
 Instance readInstanceFile(const std::string& path) {
   std::ifstream in(path);
-  DSCT_IO_ENSURE(in, path << ": cannot open for reading");
+  DSCT_ENSURE(in, path << ": cannot open for reading");
   try {
     return readInstance(in);
   } catch (const CheckError& e) {
@@ -255,32 +244,35 @@ void writeScheduleFile(const std::string& path,
 IntegralSchedule readSchedule(std::istream& is, const Instance& inst) {
   LineReader reader(is);
   auto header = reader.next();
-  DSCT_IO_ENSURE(header.size() == 2 && header[0] == "dsct-schedule" &&
-                     header[1] == "v1",
-                 "line " << reader.lineNumber()
-                         << ": expected 'dsct-schedule v1' header");
+  DSCT_ENSURE(header.size() == 2 && header[0] == "dsct-schedule" &&
+                  header[1] == "v1",
+              "line " << reader.lineNumber()
+                      << ": expected 'dsct-schedule v1' header");
   std::vector<int> machineOf(static_cast<std::size_t>(inst.numTasks()), -1);
   std::vector<double> duration(static_cast<std::size_t>(inst.numTasks()), 0.0);
   std::vector<int> assignedAt(static_cast<std::size_t>(inst.numTasks()), 0);
   for (auto tokens = nextRecord(reader); !tokens.empty();
        tokens = nextRecord(reader)) {
     const int line = reader.lineNumber();
-    DSCT_IO_ENSURE(tokens.size() == 4 && tokens[0] == "assign",
-                   "line " << line
-                           << ": assign <task> <machine> <duration>");
+    DSCT_ENSURE(tokens.size() == 4 && tokens[0] == "assign",
+                "line " << line
+                        << ": assign <task> <machine> <duration>");
     const int task = parseInt(tokens[1], line);
-    DSCT_IO_ENSURE(task >= 0 && task < inst.numTasks(),
-                   "line " << line << ": task index out of range");
+    DSCT_ENSURE(task >= 0 && task < inst.numTasks(),
+                "line " << line << ": task index out of range");
     int& firstLine = assignedAt[static_cast<std::size_t>(task)];
-    DSCT_IO_ENSURE(firstLine == 0, "line " << line << ": task " << task
-                                           << " already assigned at line "
-                                           << firstLine);
+    DSCT_ENSURE(firstLine == 0, "line " << line << ": task " << task
+                                        << " already assigned at line "
+                                        << firstLine);
     firstLine = line;
     const int machine = parseInt(tokens[2], line);
-    DSCT_IO_ENSURE(machine >= -1 && machine < inst.numMachines(),
-                   "line " << line << ": machine index out of range");
+    DSCT_ENSURE(machine >= -1 && machine < inst.numMachines(),
+                "line " << line << ": machine index out of range");
+    const double seconds = parseDouble(tokens[3], line);
+    DSCT_ENSURE(machine < 0 || seconds >= -IntegralSchedule::kDurationSlack,
+                "line " << line << ": negative duration");
     machineOf[static_cast<std::size_t>(task)] = machine;
-    duration[static_cast<std::size_t>(task)] = parseDouble(tokens[3], line);
+    duration[static_cast<std::size_t>(task)] = seconds;
   }
   return IntegralSchedule::build(inst, std::move(machineOf),
                                  std::move(duration));
@@ -289,7 +281,7 @@ IntegralSchedule readSchedule(std::istream& is, const Instance& inst) {
 IntegralSchedule readScheduleFile(const std::string& path,
                                   const Instance& inst) {
   std::ifstream in(path);
-  DSCT_IO_ENSURE(in, path << ": cannot open for reading");
+  DSCT_ENSURE(in, path << ": cannot open for reading");
   try {
     return readSchedule(in, inst);
   } catch (const CheckError& e) {

@@ -28,8 +28,8 @@ struct ApproxResult {
 
 ApproxResult solveApprox(const Instance& inst,
                          const RefineOptions& refineOptions = {});
-/// Full-options overload: threading and the cross-solve ProfileCache the
-/// serving loop carries across epochs (FrOptOptions::sharedCache).
+/// Full-options overload: worker pool, cancellation and per-machine energy
+/// caps (FrOptOptions).
 ApproxResult solveApprox(const Instance& inst, const FrOptOptions& options);
 
 /// Rounding step alone (exposed for tests): integralises a fractional

@@ -204,11 +204,7 @@ FrOptResult solveFrOpt(const Instance& inst,
 
 FrOptResult solveFrOpt(const Instance& inst, const FrOptOptions& options) {
   const Stopwatch totalWatch;
-  ProfileEvaluator evaluator(inst, options.sharedCache);
-  // Attribute only this solve's cross-solve cache traffic to its counters.
-  const ProfileCacheCounters crossBefore =
-      options.sharedCache != nullptr ? options.sharedCache->counters()
-                                     : ProfileCacheCounters{};
+  ProfileEvaluator evaluator(inst);
 
   ThreadPool* pool = options.pool;
 
@@ -507,17 +503,6 @@ FrOptResult solveFrOpt(const Instance& inst, const FrOptOptions& options) {
   result.counters.slackHits = result.refineStats.slack.hits;
   result.counters.slackRebuilds = result.refineStats.slack.rebuilds;
   result.counters.slackInvalidations = result.refineStats.slack.invalidations;
-  if (options.sharedCache != nullptr) {
-    const ProfileCacheCounters crossAfter = options.sharedCache->counters();
-    result.counters.crossHits = crossAfter.hits - crossBefore.hits;
-    result.counters.crossMisses = crossAfter.misses - crossBefore.misses;
-    result.counters.crossInvalidations =
-        crossAfter.invalidations - crossBefore.invalidations;
-    result.counters.crossContended =
-        crossAfter.contended - crossBefore.contended;
-    result.counters.crossShards =
-        static_cast<long long>(options.sharedCache->shardCount());
-  }
   result.counters.totalSeconds = totalWatch.elapsedSeconds();
   return result;
 }

@@ -8,7 +8,6 @@
 #include <optional>
 
 #include "sched/energy_profile.h"
-#include "sched/profile_cache.h"
 #include "sched/profile_evaluator.h"
 #include "sched/refine_profile.h"
 #include "sched/schedule.h"
@@ -41,13 +40,10 @@ struct FrOptCounters {
   long long slackRebuilds = 0;      ///< per-machine column recomputations
   long long slackInvalidations = 0; ///< machine version bumps
 
-  // Cross-solve ProfileCache traffic attributable to this solve (all zero
-  // when no cache is attached via FrOptOptions::sharedCache).
+  // Always 0: every solve starts from an empty memo and nothing is shared
+  // across solves. Kept so existing readers of the counters still compile.
   long long crossHits = 0;
   long long crossMisses = 0;
-  long long crossInvalidations = 0;
-  long long crossContended = 0;  ///< shard-mutex contention events
-  long long crossShards = 0;     ///< shard count of the attached cache
 };
 
 struct FrOptOptions {
@@ -59,11 +55,6 @@ struct FrOptOptions {
   /// Safe to pass the pool whose worker is running this solve: the fan-out
   /// then executes inline.
   ThreadPool* pool = nullptr;
-  /// Borrowed cross-solve evaluation cache (see profile_cache.h). Attaching
-  /// one never changes the solution — shared hits are bit-identical to
-  /// fresh evaluations — it only skips repeated work across solves. The
-  /// serving loop passes one cache across all of a run's epochs.
-  ProfileCache* sharedCache = nullptr;
   /// Cooperative stop token, polled at the outer fixed-point rounds and
   /// inside the pair/direction escape searches (and forwarded to
   /// RefineProfile's round loop). On early exit the incumbent schedule is

@@ -9,15 +9,13 @@
 
 namespace dsct {
 
-ProfileEvaluator::ProfileEvaluator(const Instance& inst, ProfileCache* shared)
-    : inst_(inst), shared_(shared) {
+ProfileEvaluator::ProfileEvaluator(const Instance& inst) : inst_(inst) {
   sortedSegments_ = makeSegmentJobs(inst.tasks());
   sortSegmentJobs(sortedSegments_);
   // Key resolution well below any meaningful profile difference (the line
   // searches stop at 1e-12 of their interval) but coarse enough that a
   // re-evaluation of the same point hits the cache despite rounding noise.
   quantum_ = std::max(inst.maxDeadline(), 1e-9) * 1e-13;
-  if (shared_ != nullptr) fingerprint_ = instanceFingerprint(inst);
 }
 
 std::size_t ProfileEvaluator::CacheKeyHash::operator()(
@@ -64,18 +62,7 @@ double ProfileEvaluator::cached(const EnergyProfile& profile) {
     ++cacheHits_;
     return it->second;
   }
-  // The shared cache is consulted only after the local memo (so attaching
-  // one cannot change which quantised key serves a lookup) and keys on the
-  // exact profile bits, so a hit equals a fresh evaluation bit for bit.
-  if (shared_ != nullptr) {
-    if (const std::optional<double> hit =
-            shared_->lookup(fingerprint_, profile)) {
-      cache_.emplace(std::move(key), *hit);
-      return *hit;
-    }
-  }
   const double value = evaluate(profile);
-  if (shared_ != nullptr) shared_->store(fingerprint_, profile, value);
   cache_.emplace(std::move(key), value);
   return value;
 }
@@ -99,25 +86,13 @@ std::vector<double> ProfileEvaluator::evaluateBatch(
     pendingKeys.push_back(std::move(key));
   }
 
-  // Resolve the pending indices into per-index staging slots: a shared-cache
-  // hit, else a fresh evaluation. Nothing writes a cache here — resolving
-  // only *reads* the sharded shared cache and computes — so the interleaving
-  // of pool workers cannot influence what any index resolves to.
-  struct Staged {
-    double value = 0.0;
-    bool fromShared = false;
+  // Evaluate the pending indices into per-index staging slots. Nothing
+  // writes the memo here, so the interleaving of pool workers cannot
+  // influence what any index resolves to.
+  const auto resolve = [&](std::size_t k) {
+    return evaluate(profiles[pending[k]]);
   };
-  const auto resolve = [&](std::size_t k) -> Staged {
-    const EnergyProfile& profile = profiles[pending[k]];
-    if (shared_ != nullptr) {
-      if (const std::optional<double> hit =
-              shared_->lookup(fingerprint_, profile)) {
-        return {*hit, true};
-      }
-    }
-    return {evaluate(profile), false};
-  };
-  std::vector<Staged> staged;
+  std::vector<double> staged;
   if (pool != nullptr && pending.size() > 1) {
     staged = pool->parallelMap(pending.size(), resolve);
   } else {
@@ -127,18 +102,14 @@ std::vector<double> ProfileEvaluator::evaluateBatch(
     }
   }
 
-  // Commit phase: single-threaded, in index order — the only place either
-  // cache is written, so cache contents are identical pooled or serial.
-  // Shared-cache hits join the same deferred memoisation as computed misses:
-  // memoising them inline would let an intra-batch quantised-key collision
-  // serve a shared value where the cache-less run computes its own, breaking
-  // the "attaching a cache never changes results" contract.
+  // Commit phase: single-threaded, in index order — the only place the memo
+  // is written, so its contents are identical pooled or serial. Deferring
+  // the inserts past the whole batch means an intra-batch quantised-key
+  // collision is evaluated fresh rather than served the earlier index's
+  // value; emplace keeps the first index's value for later lookups.
   for (std::size_t k = 0; k < pending.size(); ++k) {
-    out[pending[k]] = staged[k].value;
-    if (!staged[k].fromShared && shared_ != nullptr) {
-      shared_->store(fingerprint_, profiles[pending[k]], staged[k].value);
-    }
-    cache_.emplace(std::move(pendingKeys[k]), staged[k].value);
+    out[pending[k]] = staged[k];
+    cache_.emplace(std::move(pendingKeys[k]), staged[k]);
   }
   return out;
 }

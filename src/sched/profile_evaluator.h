@@ -8,12 +8,12 @@
 // precomputes the sorted segment list once per instance, answers the
 // accuracy question in a single fused pass (temporary deadlines →
 // Algorithm 1 → accuracy, no schedule matrix), memoises answers keyed on
-// the quantised profile vector, and exposes counters so benchmarks can see
-// where the work goes. Batch evaluation optionally fans misses across a
-// ThreadPool, whose workers read the sharded cross-solve cache; pooled and
-// serial batches compute bit-identical values and commit cache writes
-// single-threaded in index order, so results and cache contents are
-// deterministic regardless of interleaving.
+// the quantised profile vector for the lifetime of one solve, and exposes
+// counters so benchmarks can see where the work goes. Batch evaluation
+// optionally fans misses across a ThreadPool; pooled and serial batches
+// compute bit-identical values and commit memo writes single-threaded in
+// index order, so results and memo contents are deterministic regardless
+// of interleaving.
 #pragma once
 
 #include <atomic>
@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "sched/energy_profile.h"
-#include "sched/profile_cache.h"
 #include "sched/schedule.h"
 #include "sched/single_machine.h"
 #include "sched/types.h"
@@ -42,15 +41,7 @@ struct EvaluatorCounters {
 
 class ProfileEvaluator {
  public:
-  /// `shared` (optional, borrowed) is a cross-solve ProfileCache consulted
-  /// on local-memo misses and fed every newly computed answer. Shared hits
-  /// are bit-identical to fresh evaluations (exact-bit keys; see
-  /// profile_cache.h), so attaching a cache never changes results. Stores
-  /// happen on the coordinating thread only; lookups run there too, except
-  /// in a pooled evaluateBatch, whose workers read it (the cache is sharded
-  /// and thread-safe, so workers may read it concurrently).
-  explicit ProfileEvaluator(const Instance& inst,
-                            ProfileCache* shared = nullptr);
+  explicit ProfileEvaluator(const Instance& inst);
 
   ProfileEvaluator(const ProfileEvaluator&) = delete;
   ProfileEvaluator& operator=(const ProfileEvaluator&) = delete;
@@ -65,15 +56,16 @@ class ProfileEvaluator {
   /// thread only; worker threads use evaluate() or evaluateBatch().
   double cached(const EnergyProfile& profile);
 
-  /// Evaluate many profiles, serving memoised answers and resolving the
-  /// misses (shared-cache lookup, else evaluate) — in index order serially,
-  /// or on the workers of `pool` when given. Resolved values are staged per
-  /// index; a single-threaded commit phase then inserts new answers into
-  /// both caches in index order. Pooled and serial batches produce
-  /// bit-identical values *and* bit-identical cache contents — evaluations
-  /// are pure functions of their profile, lookups never mutate, and every
-  /// write happens in the index-ordered commit phase regardless of how the
-  /// workers interleave (tests/sched_concurrent_cache_test.cpp).
+  /// Evaluate many profiles, serving memoised answers and evaluating the
+  /// misses — in index order serially, or on the workers of `pool` when
+  /// given. Fresh values are staged per index; a single-threaded commit
+  /// phase then inserts them into the memo in index order, so two misses of
+  /// one batch that share a quantised key are both evaluated fresh and the
+  /// first one's value is memoised. Pooled and serial batches produce
+  /// bit-identical values *and* bit-identical memo contents — evaluations
+  /// are pure functions of their profile, and every write happens in the
+  /// index-ordered commit phase regardless of how the workers interleave
+  /// (tests/sched_concurrent_cache_test.cpp).
   std::vector<double> evaluateBatch(std::span<const EnergyProfile> profiles,
                                     ThreadPool* pool);
 
@@ -96,9 +88,6 @@ class ProfileEvaluator {
   const Instance& inst_;
   std::vector<SegmentJob> sortedSegments_;  ///< slope-desc, built once
   double quantum_;  ///< cache-key resolution (seconds of profile)
-
-  ProfileCache* shared_;           ///< cross-solve cache (may be null)
-  std::uint64_t fingerprint_ = 0;  ///< instance fingerprint (when shared)
 
   std::unordered_map<CacheKey, double, CacheKeyHash> cache_;
   mutable std::atomic<long long> evaluations_{0};

@@ -94,7 +94,7 @@ IntegralSchedule IntegralSchedule::build(const Instance& inst,
     }
     DSCT_CHECK_MSG(r < m, "machine index out of range");
     const double dur = s.duration_[static_cast<std::size_t>(j)];
-    DSCT_CHECK_MSG(dur >= -1e-9, "negative duration");
+    DSCT_CHECK_MSG(dur >= -kDurationSlack, "negative duration");
     const double start = clock[static_cast<std::size_t>(r)];
     s.start_[static_cast<std::size_t>(j)] = start;
     s.timelines_[static_cast<std::size_t>(r)].push_back(

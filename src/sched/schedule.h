@@ -56,8 +56,10 @@ struct ScheduledTask {
 /// timelines are in task (deadline) order, back to back from time 0.
 class IntegralSchedule {
  public:
-  /// machineOf[j] in [-1, m); duration[j] >= 0 (ignored when unscheduled).
-  /// Start times are derived by stacking tasks per machine in task order.
+  /// machineOf[j] in [-1, m); duration[j] >= -kDurationSlack, clamped to
+  /// >= 0 (ignored when unscheduled). Start times are derived by stacking
+  /// tasks per machine in task order.
+  static constexpr double kDurationSlack = 1e-9;
   static IntegralSchedule build(const Instance& inst,
                                 std::vector<int> machineOf,
                                 std::vector<double> duration);

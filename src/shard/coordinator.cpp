@@ -18,8 +18,6 @@ namespace {
 /// funded demand is within this share of B below the budget (demand never
 /// exceeds B at the accepted price).
 constexpr double kBudgetTolerance = 0.01;
-/// Entry bound of each cell's cross-epoch ProfileCache.
-constexpr std::size_t kCacheEntriesPerCell = 1 << 18;
 
 void addCounters(FrOptCounters& into, const FrOptCounters& from) {
   into.evaluations += from.evaluations;
@@ -38,11 +36,6 @@ void addCounters(FrOptCounters& into, const FrOptCounters& from) {
   into.slackHits += from.slackHits;
   into.slackRebuilds += from.slackRebuilds;
   into.slackInvalidations += from.slackInvalidations;
-  into.crossHits += from.crossHits;
-  into.crossMisses += from.crossMisses;
-  into.crossInvalidations += from.crossInvalidations;
-  into.crossContended += from.crossContended;
-  into.crossShards += from.crossShards;
 }
 
 /// One cell's static slice of the global instance.
@@ -207,13 +200,9 @@ SolveOutcome ShardCoordinator::solve(const Instance& inst,
   }
   stats_.budgetAssigned = assigned;
 
-  // --- per-cell cross-epoch state ---
-  if (cellStates_.size() != cells.size()) {
-    cellStates_.clear();
-    cellStates_.resize(cells.size());
-    for (CellState& state : cellStates_) {
-      state.cache = std::make_unique<ProfileCache>(kCacheEntriesPerCell);
-    }
+  // --- per-cell cross-epoch LP warm-start slots ---
+  if (cellLpWarm_.size() != cells.size()) {
+    cellLpWarm_.assign(cells.size(), LpWarmStartSlot{});
   }
 
   // --- per-cell availability slices ---
@@ -244,8 +233,7 @@ SolveOutcome ShardCoordinator::solve(const Instance& inst,
                              double price) -> SolveOutcome {
     if (cells[c].tasks.empty()) return SolveOutcome{};
     SolveContext cellContext = context;
-    cellContext.frOpt.sharedCache = cellStates_[c].cache.get();
-    cellContext.lpWarm = &cellStates_[c].lpWarm;
+    cellContext.lpWarm = &cellLpWarm_[c];
     cellContext.availability =
         cellHints.empty() ? nullptr : &cellHints[c];
     cellContext.energyPrice = price;
@@ -405,10 +393,10 @@ ShardedSolver::ShardedSolver(const Solver& inner, ShardOptions options)
 
 SolverCapabilities ShardedSolver::capabilities() const {
   SolverCapabilities caps = coordinator_.inner().capabilities();
-  // The coordinator owns per-cell caches and warm-start slots, so the
-  // context-level ones are unused; keep the flags as the inner solver's so
-  // callers still provision the shared pool. Determinism is preserved: the
-  // partition, the price loop, and the index-ordered merge are all pure.
+  // The coordinator owns per-cell warm-start slots, so the context-level
+  // one is unused; keep the flags as the inner solver's so callers still
+  // provision the shared pool. Determinism is preserved: the partition, the
+  // price loop, and the index-ordered merge are all pure.
   return caps;
 }
 

@@ -10,43 +10,22 @@ namespace dsct::sim {
 
 namespace {
 
-/// Absence windows for one machine: present stretches ~ Exp(1/meanPresent),
-/// absences ~ Exp(1/meanAbsent), clipped to [0, horizon). Same alternating
-/// renewal idiom as the fault layer's sampleWindows, with a per-machine
-/// derived seed so traces are stable under machine-count changes.
-std::vector<FaultInterval> sampleAbsences(double meanPresent,
-                                          double meanAbsent, double horizon,
-                                          std::uint64_t seed) {
-  std::vector<FaultInterval> windows;
-  if (meanPresent <= 0.0 || meanAbsent <= 0.0 || horizon <= 0.0) {
-    return windows;
-  }
-  Rng rng(seed);
-  double t = rng.exponential(1.0 / meanPresent);
-  while (t < horizon) {
-    const double away = rng.exponential(1.0 / meanAbsent);
-    windows.push_back({t, std::min(horizon, t + away)});
-    t += away + rng.exponential(1.0 / meanPresent);
-  }
-  return windows;
-}
-
 void validateOptions(const AvailabilityOptions& options) {
-  DSCT_CHECK_MSG(options.departMtbfSeconds >= 0.0,
-                 "departMtbfSeconds must be non-negative ("
-                     << options.departMtbfSeconds << ")");
-  DSCT_CHECK_MSG(
+  DSCT_ENSURE(options.departMtbfSeconds >= 0.0,
+              "departMtbfSeconds must be non-negative ("
+                  << options.departMtbfSeconds << ")");
+  DSCT_ENSURE(
       options.departMeanSeconds > 0.0 || options.departMtbfSeconds <= 0.0,
       "departMeanSeconds must be positive when departures are enabled ("
           << options.departMeanSeconds << ")");
-  DSCT_CHECK_MSG(options.batteryCapacityJoules >= 0.0,
-                 "batteryCapacityJoules must be non-negative ("
-                     << options.batteryCapacityJoules << ")");
-  DSCT_CHECK_MSG(options.batteryInitialFraction >= 0.0 &&
-                     options.batteryInitialFraction <= 1.0,
-                 "batteryInitialFraction must be in [0, 1] ("
-                     << options.batteryInitialFraction << ")");
-  DSCT_CHECK_MSG(
+  DSCT_ENSURE(options.batteryCapacityJoules >= 0.0,
+              "batteryCapacityJoules must be non-negative ("
+                  << options.batteryCapacityJoules << ")");
+  DSCT_ENSURE(options.batteryInitialFraction >= 0.0 &&
+                  options.batteryInitialFraction <= 1.0,
+              "batteryInitialFraction must be in [0, 1] ("
+                  << options.batteryInitialFraction << ")");
+  DSCT_ENSURE(
       options.rechargeWatts >= 0.0,
       "rechargeWatts must be non-negative (" << options.rechargeWatts << ")");
 }
@@ -79,7 +58,9 @@ AvailabilityTrace AvailabilityTrace::generate(int numMachines,
       static_cast<std::size_t>(numMachines),
       std::vector<bool>(static_cast<std::size_t>(numEpochs), false));
   for (int m = 0; m < numMachines; ++m) {
-    const std::vector<FaultInterval> windows = sampleAbsences(
+    // Absence windows: present stretches ~ Exp(1/departMtbf), absences
+    // ~ Exp(1/departMean).
+    const std::vector<FaultInterval> windows = sampleRenewalWindows(
         options.departMtbfSeconds, options.departMeanSeconds, horizonSeconds,
         deriveSeed(options.seed, static_cast<std::uint64_t>(m)));
     // Snap to whole epochs: machine m is departed for epoch e iff an absence

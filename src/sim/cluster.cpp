@@ -54,17 +54,6 @@ double CommModel::transferJoules(int task) const {
 }
 
 ExecutionResult executeSchedule(const Instance& inst,
-                                const IntegralSchedule& schedule) {
-  return executeSchedule(inst, schedule, CommModel{});
-}
-
-ExecutionResult executeSchedule(const Instance& inst,
-                                const IntegralSchedule& schedule,
-                                const CommModel& comm) {
-  return executeSchedule(inst, schedule, comm, FaultContext{});
-}
-
-ExecutionResult executeSchedule(const Instance& inst,
                                 const IntegralSchedule& schedule,
                                 const CommModel& comm,
                                 const FaultContext& faults) {
@@ -87,89 +76,69 @@ ExecutionResult executeSchedule(const Instance& inst,
   long sequence = 0;
   std::vector<double> transferEnergyAtStart(
       static_cast<std::size_t>(inst.numTasks()), 0.0);
-  if (!faults.active()) {
-    for (int r = 0; r < inst.numMachines(); ++r) {
-      // Walk the machine's timeline re-deriving starts: each task's input
-      // transfer is serialised on the machine's ingest link before execution.
-      double clock = 0.0;
-      for (const ScheduledTask& e : schedule.timeline(r)) {
-        // A zero-work slot never fetches its input: schedulers may park a
-        // starved task (e.g. one whose transfer exceeds its deadline) in a
-        // zero-duration slot, and paying the transfer for it would serialise
-        // dead bytes in front of real work.
-        const double transfer =
-            e.duration > 0.0 ? comm.transferSeconds(e.task) : 0.0;
-        const double execStart = clock + transfer;
-        const double execEnd = execStart + e.duration;
-        const double flops = e.duration * inst.machine(r).speed;
-        transferEnergyAtStart[static_cast<std::size_t>(e.task)] =
-            e.duration > 0.0 ? comm.transferJoules(e.task) : 0.0;
-        queue.push(
-            {execStart, r, sequence++, EventKind::kTaskStart, e.task, 0.0});
-        queue.push(
-            {execEnd, r, sequence++, EventKind::kTaskFinish, e.task, flops});
-        clock = execEnd;
+  const bool traceActive = faults.traceActive();
+  for (int r = 0; r < inst.numMachines(); ++r) {
+    const int tr = faults.traceMachine(r);
+    // First crash at or after the epoch start, in local time; a machine
+    // already down at the offset interrupts everything at local 0, and
+    // everything from the crash to the end of the timeline is lost (the
+    // machine rejoins only at the next epoch's replan). Battery exhaustion
+    // (FaultContext::energyCutSeconds) cuts with identical semantics at
+    // the earlier of the two instants. Without faults both are +infinity
+    // and the walk below only re-derives starts.
+    const double traceCrash =
+        traceActive ? faults.trace->nextCrashAt(tr, faults.timeOffset) -
+                          faults.timeOffset
+                    : std::numeric_limits<double>::infinity();
+    const double crashLocal = std::min(traceCrash, faults.cutSeconds(r));
+    // Each task's input transfer is serialised on the machine's ingest link
+    // before execution.
+    double clock = 0.0;
+    for (const ScheduledTask& e : schedule.timeline(r)) {
+      // A zero-work slot never fetches its input: schedulers may park a
+      // starved task (e.g. one whose transfer exceeds its deadline) in a
+      // zero-duration slot, and paying the transfer for it would serialise
+      // dead bytes in front of real work.
+      const double transfer =
+          e.duration > 0.0 ? comm.transferSeconds(e.task) : 0.0;
+      const double execStart = clock + transfer;
+      const double execEnd = execStart + e.duration;
+      clock = execEnd;
+      if (execStart >= crashLocal) {
+        TaskExecution& exec =
+            result.executions[static_cast<std::size_t>(e.task)];
+        exec.machine = r;
+        exec.interrupted = true;
+        ++result.interruptions;
+        continue;
       }
-      queue.push({clock, r, sequence++, EventKind::kMachineIdle, -1, 0.0});
+      const bool cut = execEnd > crashLocal;
+      const double finish = cut ? crashLocal : execEnd;
+      // Straggler windows shrink delivered FLOPs, not the occupied slot.
+      // The loss is subtracted from the scheduled duration rather than
+      // re-deriving it from finish - execStart, so a task untouched by any
+      // fault keeps its scheduled FLOPs bit for bit (timeline durations are
+      // already clamped to >= 0).
+      const double occupied = cut ? finish - execStart : e.duration;
+      const double lost =
+          traceActive
+              ? faults.trace->slowdownLossSeconds(
+                    tr, faults.timeOffset + execStart,
+                    faults.timeOffset + finish)
+              : 0.0;
+      const double flops =
+          std::max(0.0, lost > 0.0 ? occupied - lost : occupied) *
+          inst.machine(r).speed;
+      transferEnergyAtStart[static_cast<std::size_t>(e.task)] =
+          e.duration > 0.0 ? comm.transferJoules(e.task) : 0.0;
+      queue.push(
+          {execStart, r, sequence++, EventKind::kTaskStart, e.task, 0.0});
+      queue.push(
+          {finish, r, sequence++, EventKind::kTaskFinish, e.task, flops,
+           cut});
     }
-  } else {
-    const bool traceActive = faults.traceActive();
-    for (int r = 0; r < inst.numMachines(); ++r) {
-      const int tr = faults.traceMachine(r);
-      // First crash at or after the epoch start, in local time; a machine
-      // already down at the offset interrupts everything at local 0, and
-      // everything from the crash to the end of the timeline is lost (the
-      // machine rejoins only at the next epoch's replan). Battery exhaustion
-      // (FaultContext::energyCutSeconds) cuts with identical semantics at
-      // the earlier of the two instants.
-      const double traceCrash =
-          traceActive ? faults.trace->nextCrashAt(tr, faults.timeOffset) -
-                            faults.timeOffset
-                      : std::numeric_limits<double>::infinity();
-      const double crashLocal = std::min(traceCrash, faults.cutSeconds(r));
-      double clock = 0.0;
-      for (const ScheduledTask& e : schedule.timeline(r)) {
-        const double transfer =
-            e.duration > 0.0 ? comm.transferSeconds(e.task) : 0.0;
-        const double execStart = clock + transfer;
-        const double execEnd = execStart + e.duration;
-        clock = execEnd;
-        if (execStart >= crashLocal) {
-          TaskExecution& exec =
-              result.executions[static_cast<std::size_t>(e.task)];
-          exec.machine = r;
-          exec.interrupted = true;
-          ++result.interruptions;
-          continue;
-        }
-        const bool cut = execEnd > crashLocal;
-        const double finish = cut ? crashLocal : execEnd;
-        // Straggler windows shrink delivered FLOPs, not the occupied slot.
-        // The loss is subtracted from the scheduled duration rather than
-        // re-deriving it from finish - execStart, so a task untouched by any
-        // fault reproduces the default path's FLOPs bit for bit.
-        const double occupied = cut ? finish - execStart : e.duration;
-        const double lost =
-            traceActive
-                ? faults.trace->slowdownLossSeconds(
-                      tr, faults.timeOffset + execStart,
-                      faults.timeOffset + finish)
-                : 0.0;
-        const double flops =
-            std::max(0.0, lost > 0.0 ? occupied - lost : occupied) *
-            inst.machine(r).speed;
-        transferEnergyAtStart[static_cast<std::size_t>(e.task)] =
-            e.duration > 0.0 ? comm.transferJoules(e.task) : 0.0;
-        queue.push(
-            {execStart, r, sequence++, EventKind::kTaskStart, e.task, 0.0});
-        queue.push(
-            {finish, r, sequence++, EventKind::kTaskFinish, e.task, flops,
-             cut});
-      }
-      const double drained =
-          std::min(std::max(crashLocal, 0.0), clock);
-      queue.push({drained, r, sequence++, EventKind::kMachineIdle, -1, 0.0});
-    }
+    const double drained = std::min(std::max(crashLocal, 0.0), clock);
+    queue.push({drained, r, sequence++, EventKind::kMachineIdle, -1, 0.0});
   }
 
   double energy = 0.0;

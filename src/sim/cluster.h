@@ -41,10 +41,6 @@ struct ExecutionResult {
   int interruptions = 0;  ///< tasks interrupted by machine crashes
 };
 
-/// Execute `schedule` on the instance's machines.
-ExecutionResult executeSchedule(const Instance& inst,
-                                const IntegralSchedule& schedule);
-
 /// Communication model (paper Section 7, future work #2): each task's input
 /// must be transferred to its machine before execution. Transfers are
 /// serialised on the target machine (they share its ingest link), consume
@@ -61,17 +57,12 @@ struct CommModel {
   double transferJoules(int task) const;
 };
 
-/// Execute with communication accounting. Energy includes transfer energy;
-/// starts shift by the (serialised) transfer times.
-ExecutionResult executeSchedule(const Instance& inst,
-                                const IntegralSchedule& schedule,
-                                const CommModel& comm);
-
 /// Binds a FaultTrace (absolute simulation time) to one executeSchedule call
 /// (local time starting at 0): `timeOffset` is the absolute time of local 0
 /// and `machineMap[r]` names the trace machine behind the instance's machine
-/// r (empty = identity). Inactive contexts select the fault-free fast path,
-/// which is bit-identical to the pre-fault simulator.
+/// r (empty = identity). A default context (no enabled trace, no energy
+/// cuts) crashes and slows nothing, so execution matches the pre-fault
+/// simulator bit for bit.
 ///
 /// `energyCutSeconds` adds battery exhaustion (DESIGN.md §15): machine r
 /// stops delivering work at local time energyCutSeconds[r] — the instant its
@@ -85,7 +76,6 @@ struct FaultContext {
   std::vector<double> energyCutSeconds;  ///< local seconds, per machine
 
   bool traceActive() const { return trace != nullptr && trace->enabled(); }
-  bool active() const { return traceActive() || !energyCutSeconds.empty(); }
   int traceMachine(int machine) const {
     return machineMap.empty() ? machine
                               : machineMap[static_cast<std::size_t>(machine)];
@@ -94,16 +84,20 @@ struct FaultContext {
   double cutSeconds(int machine) const;
 };
 
-/// Execute under fault injection: a machine that crashes mid-epoch — or runs
-/// out of stored energy (`energyCutSeconds`) — cuts its running task at that
-/// instant (partial FLOPs and energy are recorded, the task is flagged
-/// `interrupted`) and abandons the rest of its timeline; straggler windows
-/// scale delivered FLOPs by the trace's slowdown factor while the machine
-/// still occupies — and is billed for — its full slot.
+/// Execute `schedule` on the instance's machines.
+///
+/// With `comm`, energy includes transfer energy and starts shift by the
+/// (serialised) transfer times. Under fault injection (`faults`), a machine
+/// that crashes mid-epoch — or runs out of stored energy
+/// (`energyCutSeconds`) — cuts its running task at that instant (partial
+/// FLOPs and energy are recorded, the task is flagged `interrupted`) and
+/// abandons the rest of its timeline; straggler windows scale delivered
+/// FLOPs by the trace's slowdown factor while the machine still occupies —
+/// and is billed for — its full slot.
 ExecutionResult executeSchedule(const Instance& inst,
                                 const IntegralSchedule& schedule,
-                                const CommModel& comm,
-                                const FaultContext& faults);
+                                const CommModel& comm = {},
+                                const FaultContext& faults = {});
 
 /// Conservative comm-aware instance transform: shrinks the budget by every
 /// task's transfer energy and each deadline by its own transfer time, so a

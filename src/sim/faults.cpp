@@ -12,23 +12,6 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Alternating renewal process: up-times ~ Exp(1/meanUp), down-times
-/// ~ Exp(1/meanDown), clipped to [0, horizon). Each machine gets its own
-/// derived seed so traces are stable under machine-count changes.
-std::vector<FaultInterval> sampleWindows(double meanUp, double meanDown,
-                                         double horizon, std::uint64_t seed) {
-  std::vector<FaultInterval> windows;
-  if (meanUp <= 0.0 || meanDown <= 0.0 || horizon <= 0.0) return windows;
-  Rng rng(seed);
-  double t = rng.exponential(1.0 / meanUp);
-  while (t < horizon) {
-    const double down = rng.exponential(1.0 / meanDown);
-    windows.push_back({t, std::min(horizon, t + down)});
-    t += down + rng.exponential(1.0 / meanUp);
-  }
-  return windows;
-}
-
 void checkSortedDisjoint(const std::vector<std::vector<FaultInterval>>& all) {
   for (const auto& windows : all) {
     for (std::size_t i = 0; i < windows.size(); ++i) {
@@ -43,6 +26,22 @@ void checkSortedDisjoint(const std::vector<std::vector<FaultInterval>>& all) {
 }
 
 }  // namespace
+
+std::vector<FaultInterval> sampleRenewalWindows(double meanUp,
+                                                double meanDown,
+                                                double horizon,
+                                                std::uint64_t seed) {
+  std::vector<FaultInterval> windows;
+  if (meanUp <= 0.0 || meanDown <= 0.0 || horizon <= 0.0) return windows;
+  Rng rng(seed);
+  double t = rng.exponential(1.0 / meanUp);
+  while (t < horizon) {
+    const double down = rng.exponential(1.0 / meanDown);
+    windows.push_back({t, std::min(horizon, t + down)});
+    t += down + rng.exponential(1.0 / meanUp);
+  }
+  return windows;
+}
 
 FaultTrace::FaultTrace(std::vector<std::vector<FaultInterval>> downtime,
                        std::vector<std::vector<FaultInterval>> slowdown,
@@ -77,45 +76,45 @@ FaultTrace FaultTrace::generate(int numMachines, double horizonSeconds,
   DSCT_CHECK(numMachines > 0);
   // Reject degenerate option fields loudly instead of silently sampling an
   // empty or nonsensical trace.
-  DSCT_CHECK_MSG(options.mtbfSeconds >= 0.0,
-                 "mtbfSeconds must be non-negative (" << options.mtbfSeconds
-                                                      << ")");
-  DSCT_CHECK_MSG(options.mttrSeconds >= 0.0,
-                 "mttrSeconds must be non-negative (" << options.mttrSeconds
-                                                      << ")");
-  DSCT_CHECK_MSG(options.mttrSeconds > 0.0 || options.mtbfSeconds <= 0.0,
-                 "mttrSeconds must be positive when crashes are enabled");
-  DSCT_CHECK_MSG(options.slowdownMtbfSeconds >= 0.0,
-                 "slowdownMtbfSeconds must be non-negative ("
-                     << options.slowdownMtbfSeconds << ")");
-  DSCT_CHECK_MSG(options.slowdownMeanSeconds >= 0.0,
-                 "slowdownMeanSeconds must be non-negative ("
-                     << options.slowdownMeanSeconds << ")");
-  DSCT_CHECK_MSG(
+  DSCT_ENSURE(options.mtbfSeconds >= 0.0,
+              "mtbfSeconds must be non-negative (" << options.mtbfSeconds
+                                                   << ")");
+  DSCT_ENSURE(options.mttrSeconds >= 0.0,
+              "mttrSeconds must be non-negative (" << options.mttrSeconds
+                                                   << ")");
+  DSCT_ENSURE(options.mttrSeconds > 0.0 || options.mtbfSeconds <= 0.0,
+              "mttrSeconds must be positive when crashes are enabled");
+  DSCT_ENSURE(options.slowdownMtbfSeconds >= 0.0,
+              "slowdownMtbfSeconds must be non-negative ("
+                  << options.slowdownMtbfSeconds << ")");
+  DSCT_ENSURE(options.slowdownMeanSeconds >= 0.0,
+              "slowdownMeanSeconds must be non-negative ("
+                  << options.slowdownMeanSeconds << ")");
+  DSCT_ENSURE(
       options.slowdownMeanSeconds > 0.0 || options.slowdownMtbfSeconds <= 0.0,
       "slowdownMeanSeconds must be positive when stragglers are enabled");
-  DSCT_CHECK_MSG(options.slowdownFactor > 0.0 && options.slowdownFactor <= 1.0,
-                 "slowdownFactor must be in (0, 1] ("
-                     << options.slowdownFactor << ")");
-  DSCT_CHECK_MSG(options.budgetShockProbability >= 0.0 &&
-                     options.budgetShockProbability <= 1.0,
-                 "budgetShockProbability must be in [0, 1] ("
-                     << options.budgetShockProbability << ")");
-  DSCT_CHECK_MSG(options.budgetShockFactor >= 0.0,
-                 "budgetShockFactor must be non-negative ("
-                     << options.budgetShockFactor << ")");
-  DSCT_CHECK_MSG(options.maxRetries >= 0, "maxRetries must be non-negative ("
-                                              << options.maxRetries << ")");
+  DSCT_ENSURE(options.slowdownFactor > 0.0 && options.slowdownFactor <= 1.0,
+              "slowdownFactor must be in (0, 1] ("
+                  << options.slowdownFactor << ")");
+  DSCT_ENSURE(options.budgetShockProbability >= 0.0 &&
+                  options.budgetShockProbability <= 1.0,
+              "budgetShockProbability must be in [0, 1] ("
+                  << options.budgetShockProbability << ")");
+  DSCT_ENSURE(options.budgetShockFactor >= 0.0,
+              "budgetShockFactor must be non-negative ("
+                  << options.budgetShockFactor << ")");
+  DSCT_ENSURE(options.maxRetries >= 0, "maxRetries must be non-negative ("
+                                           << options.maxRetries << ")");
   std::vector<std::vector<FaultInterval>> downtime;
   std::vector<std::vector<FaultInterval>> slowdown;
   downtime.reserve(static_cast<std::size_t>(numMachines));
   slowdown.reserve(static_cast<std::size_t>(numMachines));
   for (int r = 0; r < numMachines; ++r) {
     // Distinct SplitMix64 streams per (machine, process kind).
-    downtime.push_back(sampleWindows(
+    downtime.push_back(sampleRenewalWindows(
         options.mtbfSeconds, options.mttrSeconds, horizonSeconds,
         deriveSeed(options.seed, static_cast<std::uint64_t>(2 * r))));
-    slowdown.push_back(sampleWindows(
+    slowdown.push_back(sampleRenewalWindows(
         options.slowdownMtbfSeconds, options.slowdownMeanSeconds,
         horizonSeconds,
         deriveSeed(options.seed, static_cast<std::uint64_t>(2 * r + 1))));

@@ -62,6 +62,17 @@ struct FaultInterval {
   double end = 0.0;
 };
 
+/// Alternating renewal process on [0, horizon): up-times ~ Exp(1/meanUp),
+/// down-times ~ Exp(1/meanDown); returns the down windows, the last one
+/// clipped at the horizon. Empty when either mean or the horizon is not
+/// positive. Crashes, stragglers and availability departures all draw from
+/// it, each machine and process kind on its own derived seed, so traces are
+/// stable under machine-count changes.
+std::vector<FaultInterval> sampleRenewalWindows(double meanUp,
+                                                double meanDown,
+                                                double horizon,
+                                                std::uint64_t seed);
+
 class FaultTrace {
  public:
   /// Disabled trace: every machine always alive, factor 1 everywhere.

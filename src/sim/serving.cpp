@@ -13,7 +13,6 @@
 #include "accuracy/fit.h"
 #include "core/solver_api.h"
 #include "core/solver_registry.h"
-#include "sched/profile_cache.h"
 #include "sched/validator.h"
 #include "shard/coordinator.h"
 #include "sim/renewable.h"
@@ -49,9 +48,9 @@ namespace {
 /// the executor needs a task→machine assignment, not a fractional profile.
 const Solver& resolveServingSolver(const std::string& name) {
   const Solver& solver = SolverRegistry::instance().resolve(name);
-  DSCT_CHECK_MSG(solver.capabilities().integral,
-                 "serving policy '" << name
-                                    << "' does not produce integral schedules");
+  DSCT_ENSURE(solver.capabilities().integral,
+              "serving policy '" << name
+                                 << "' does not produce integral schedules");
   return solver;
 }
 
@@ -61,41 +60,42 @@ ServingStats runServingImpl(
     const std::vector<Machine>& machines, const std::string& policy,
     const ServingOptions& options,
     const std::function<double(double, double)>& budgetFor) {
-  DSCT_CHECK(!machines.empty());
-  DSCT_CHECK_MSG(
+  DSCT_ENSURE(!machines.empty(), "machines must not be empty");
+  DSCT_ENSURE(
       std::isfinite(options.epochSeconds) && options.epochSeconds > 0.0,
       "epochSeconds must be finite and > 0, got " << options.epochSeconds);
-  DSCT_CHECK_MSG(
+  DSCT_ENSURE(
       std::isfinite(options.horizonSeconds) && options.horizonSeconds > 0.0,
       "horizonSeconds must be finite and > 0, got " << options.horizonSeconds);
-  DSCT_CHECK_MSG(options.shards >= 0,
-                 "shards must be >= 0, got " << options.shards);
-  DSCT_CHECK_MSG(std::isfinite(options.admissionLoadFactor) &&
-                     options.admissionLoadFactor >= 0.0,
-                 "admissionLoadFactor must be finite and >= 0, got "
-                     << options.admissionLoadFactor);
+  DSCT_ENSURE(options.shards >= 0,
+              "shards must be >= 0, got " << options.shards);
+  DSCT_ENSURE(std::isfinite(options.admissionLoadFactor) &&
+                  options.admissionLoadFactor >= 0.0,
+              "admissionLoadFactor must be finite and >= 0, got "
+                  << options.admissionLoadFactor);
   const bool hasRequestTrace = !options.requestTrace.empty();
   if (hasRequestTrace) {
-    DSCT_CHECK_MSG(options.arrivalTimes.empty(),
-                   "requestTrace and arrivalTimes are mutually exclusive");
+    DSCT_ENSURE(options.arrivalTimes.empty(),
+                "requestTrace and arrivalTimes are mutually exclusive");
     for (std::size_t i = 0; i < options.requestTrace.size(); ++i) {
       const RequestSpec& spec = options.requestTrace[i];
-      DSCT_CHECK_MSG(spec.relDeadline > 0.0 && spec.theta > 0.0 &&
-                         spec.missPenalty >= 0.0,
-                     "requestTrace[" << i << "] has relDeadline "
-                                     << spec.relDeadline << ", theta "
-                                     << spec.theta << ", missPenalty "
-                                     << spec.missPenalty);
-      DSCT_CHECK_MSG(i == 0 || options.requestTrace[i - 1].arrival <=
-                                   spec.arrival,
-                     "requestTrace arrivals must be ascending");
+      DSCT_ENSURE(spec.relDeadline > 0.0 && spec.theta > 0.0 &&
+                      spec.missPenalty >= 0.0,
+                  "requestTrace[" << i << "] has relDeadline "
+                                  << spec.relDeadline << ", theta "
+                                  << spec.theta << ", missPenalty "
+                                  << spec.missPenalty);
+      DSCT_ENSURE(i == 0 || options.requestTrace[i - 1].arrival <=
+                                spec.arrival,
+                  "requestTrace arrivals must be ascending");
     }
   } else if (options.arrivalTimes.empty()) {
     // The rate feeds the Poisson generator only; an explicit arrival trace
     // makes it irrelevant and must not be rejected.
-    DSCT_CHECK_MSG(options.arrivalRatePerSecond > 0.0,
-                   "arrivalRatePerSecond must be positive when no explicit "
-                   "arrivalTimes are supplied");
+    DSCT_ENSURE(options.arrivalRatePerSecond > 0.0,
+                "arrivalRatePerSecond must be positive when no explicit "
+                "arrivalTimes are supplied, got "
+                    << options.arrivalRatePerSecond);
   }
 
   Rng rng(options.seed);
@@ -115,8 +115,8 @@ ServingStats runServingImpl(
     }
   } else {
     for (std::size_t i = 0; i + 1 < arrivalTimes.size(); ++i) {
-      DSCT_CHECK_MSG(arrivalTimes[i] <= arrivalTimes[i + 1],
-                     "arrivalTimes must be ascending");
+      DSCT_ENSURE(arrivalTimes[i] <= arrivalTimes[i + 1],
+                  "arrivalTimes must be ascending");
     }
   }
 
@@ -181,38 +181,28 @@ ServingStats runServingImpl(
     chain.push_back(&resolveServingSolver(name));
   }
 
-  // Cache/warm-slot demand is capability-driven: the chain only contributes
-  // in guarded runs (it is never consulted otherwise), which keeps unguarded
+  // Warm-slot demand is capability-driven: the chain only contributes in
+  // guarded runs (it is never consulted otherwise), which keeps unguarded
   // runs bit-identical to the pre-registry driver for every policy.
-  bool wantsCache = primary.capabilities().usesProfileCache;
   bool wantsLpWarm = primary.capabilities().usesLpWarmStart;
   if (guarded) {
     for (const Solver* fb : chain) {
-      wantsCache = wantsCache || fb->capabilities().usesProfileCache;
       wantsLpWarm = wantsLpWarm || fb->capabilities().usesLpWarmStart;
     }
   }
 
-  // Cross-solve evaluation cache carried across epochs. Epochs with an
-  // identical batch on an identical machine state (idle stretches, carried
-  // backlog, fallback re-solves) reuse earlier FR-OPT evaluations instead of
-  // solving cold; any change to the epoch instance changes the fingerprint.
-  std::optional<ProfileCache> crossCache;
-  if (wantsCache) crossCache.emplace();
   // Sharded runs get a worker pool of hardware-concurrency threads: the
   // coordinator fans the per-cell solves out on it (cells run their own
   // fan-outs inline on the workers). Pool placement never changes results —
   // reductions are index-ordered.
   std::unique_ptr<ThreadPool> solverPool;
   if (shardedPrimary != nullptr) solverPool = std::make_unique<ThreadPool>(0);
-  // Cross-epoch LP warm-start slot, carried like the cache: one epoch's
-  // optimal basis seeds the next epoch's LP when the instance structure
-  // matches. The driver runs one solve at a time, so the slot is never
-  // touched by two solves at once.
+  // Cross-epoch LP warm-start slot: one epoch's optimal basis seeds the
+  // next epoch's LP when the instance structure matches. The driver runs one
+  // solve at a time, so the slot is never touched by two solves at once.
   std::optional<LpWarmStartSlot> lpWarmSlot;
   if (wantsLpWarm) lpWarmSlot.emplace();
   SolveContext solveCtx;
-  solveCtx.frOpt.sharedCache = crossCache ? &*crossCache : nullptr;
   solveCtx.frOpt.pool = solverPool.get();
   solveCtx.lpWarm = lpWarmSlot ? &*lpWarmSlot : nullptr;
   // Per-epoch availability hints, refilled before each epoch's solves and
@@ -706,14 +696,6 @@ ServingStats runServingImpl(
   stats.lpWarmStartsUsed = lpTotals.warmStartsUsed;
   stats.lpWarmStartsRepaired = lpTotals.warmStartsRepaired;
   stats.lpWarmStartsRejected = lpTotals.warmStartsRejected;
-  if (crossCache) {
-    const ProfileCacheCounters cc = crossCache->counters();
-    stats.profileCacheHits = cc.hits;
-    stats.profileCacheMisses = cc.misses;
-    stats.profileCacheInvalidations = cc.invalidations;
-    stats.profileCacheContended = cc.contended;
-    stats.profileCacheShards = static_cast<long long>(crossCache->shardCount());
-  }
   return stats;
 }
 
@@ -722,10 +704,10 @@ ServingStats runServingImpl(
 ServingStats runServing(const std::vector<Machine>& machines,
                         const std::string& policy,
                         const ServingOptions& options) {
-  DSCT_CHECK_MSG(std::isfinite(options.energyBudgetPerEpoch) &&
-                     options.energyBudgetPerEpoch >= 0.0,
-                 "energyBudgetPerEpoch must be finite and >= 0, got "
-                     << options.energyBudgetPerEpoch);
+  DSCT_ENSURE(std::isfinite(options.energyBudgetPerEpoch) &&
+                  options.energyBudgetPerEpoch >= 0.0,
+              "energyBudgetPerEpoch must be finite and >= 0, got "
+                  << options.energyBudgetPerEpoch);
   return runServingImpl(machines, policy, options, [&options](double, double) {
     return options.energyBudgetPerEpoch;
   });

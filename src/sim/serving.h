@@ -215,13 +215,12 @@ struct ServingStats {
                                         ///< cap outside the budget tolerance
   std::vector<EpochIncident> incidents;
 
-  // Cross-solve ProfileCache traffic over the whole run (all zero when no
-  // solver of the run declares `usesProfileCache`).
+  // Always 0: solves share no profile evaluations across epochs. Kept so
+  // stats digests keep their field list.
   long long profileCacheHits = 0;
   long long profileCacheMisses = 0;
   long long profileCacheInvalidations = 0;
-  long long profileCacheContended = 0;  ///< shard-mutex contention events
-  long long profileCacheShards = 0;     ///< shard count of the run's cache
+  long long profileCacheShards = 0;
 
   // LP work over the whole run, summed from SolveOutcome::lpCounters (all
   // zero for policies without an LP). used/repaired count every warm basis
@@ -243,14 +242,11 @@ struct ServingStats {
 /// `dsct_cli solvers`). Throws CheckError on an unknown or non-integral
 /// policy and on invalid options, naming the offending field.
 ///
-/// Shared resources follow the solvers' capabilities and are carried across
-/// the run's epochs: a cross-solve ProfileCache (sched/profile_cache.h) when
-/// a solver declares `usesProfileCache`, and an LP warm-start slot
-/// (core/solver_api.h LpWarmStartSlot) when it declares `usesLpWarmStart`.
-/// Both change only the work a solve does, never its result: the cache key
-/// fingerprints the whole epoch instance, and a warm basis only changes the
-/// pivot path (tests/serving_backlog_test.cpp and
-/// tests/solver_warm_start_test.cpp pin both against runs without them).
+/// Each epoch is solved from scratch, except that an LP warm-start slot
+/// (core/solver_api.h LpWarmStartSlot) is carried across the run's epochs
+/// when a solver declares `usesLpWarmStart`. A warm basis changes only the
+/// pivot path, never the result (tests/solver_warm_start_test.cpp pins runs
+/// with and without it).
 ServingStats runServing(const std::vector<Machine>& machines,
                         const std::string& policy,
                         const ServingOptions& options);

@@ -2,6 +2,8 @@
 //
 // DSCT_CHECK is always on (library boundary contracts, cheap predicates).
 // DSCT_DCHECK compiles out in NDEBUG builds (hot inner-loop invariants).
+// DSCT_ENSURE rejects bad user input (files, options, flags): its message
+// alone reaches the user, without the expression text and source location.
 #pragma once
 
 #include <sstream>
@@ -53,6 +55,15 @@ namespace detail {
       std::ostringstream os_;                                         \
       os_ << msg;                                                     \
       ::dsct::detail::checkFailed(#expr, __FILE__, __LINE__, os_.str()); \
+    }                                                                 \
+  } while (0)
+
+#define DSCT_ENSURE(expr, msg)                                        \
+  do {                                                                \
+    if (!(expr)) {                                                    \
+      std::ostringstream os_;                                         \
+      os_ << msg;                                                     \
+      throw ::dsct::CheckError(os_.str());                            \
     }                                                                 \
   } while (0)
 

@@ -15,7 +15,6 @@
 #include "core/solver_registry.h"
 #include "sched/approx.h"
 #include "sched/fr_opt.h"
-#include "sched/profile_cache.h"
 #include "sched/validator.h"
 #include "tests/test_support.h"
 #include "util/check.h"
@@ -186,32 +185,6 @@ TEST(SolverRegistry, FrOptOutcomeBitIdenticalToDirectCall) {
   }
 }
 
-TEST(SolverRegistry, SharedCacheContextIsNumericallyInvisible) {
-  // The cross-solve ProfileCache changes the work, never the answer: cold
-  // context, cache-attached cold solve, and cache-attached warm re-solve
-  // must agree bit for bit (same invariant the serving loop relies on).
-  ProfileCache cache;
-  SolveContext cached;
-  cached.frOpt.sharedCache = &cache;
-  const Solver& approx = SolverRegistry::instance().resolve("approx");
-  for (int caseIdx : {0, 2, 4, 6}) {
-    const Instance inst = corpusInstance(kSeed, caseIdx);
-    const SolveOutcome cold = approx.solve(inst, SolveContext{});
-    const SolveOutcome first = approx.solve(inst, cached);
-    const SolveOutcome warm = approx.solve(inst, cached);
-    SCOPED_TRACE("case " + std::to_string(caseIdx));
-    for (const SolveOutcome* other : {&first, &warm}) {
-      EXPECT_EQ(cold.totalAccuracy, other->totalAccuracy);
-      EXPECT_EQ(cold.energy, other->energy);
-      EXPECT_EQ(cold.upperBound, other->upperBound);
-      ASSERT_TRUE(other->schedule.has_value());
-      expectSameIntegral(*cold.schedule, *other->schedule, inst);
-    }
-  }
-  // The warm pass actually hit the cache (the context was not ignored).
-  EXPECT_GT(cache.counters().hits, 0);
-}
-
 TEST(SolverRegistry, CapabilitiesDescribeOutputs) {
   const SolveContext context = limitedContext();
   for (const Solver* solver : SolverRegistry::instance().solvers()) {
@@ -237,25 +210,11 @@ void expectSameCapabilities(const SolverCapabilities& a,
                             const SolverCapabilities& b) {
   EXPECT_EQ(a.integral, b.integral);
   EXPECT_EQ(a.fractional, b.fractional);
-  EXPECT_EQ(a.usesProfileCache, b.usesProfileCache);
   EXPECT_EQ(a.usesThreadPool, b.usesThreadPool);
   EXPECT_EQ(a.exact, b.exact);
   EXPECT_EQ(a.deterministic, b.deterministic);
   EXPECT_EQ(a.usesLpWarmStart, b.usesLpWarmStart);
   EXPECT_EQ(a.availabilityAware, b.availabilityAware);
-}
-
-TEST(ServingVariant, NoCacheDropsOnlyTheProfileCacheCapability) {
-  const SolverRegistry& registry = SolverRegistry::instance();
-  const Solver& base = registry.resolve("approx");
-  const Solver& variant = registry.resolve(
-      testing::servingVariant("approx", testing::ServingVariant::kNoCache));
-  EXPECT_EQ(variant.name(), "approx/uncached");
-  EXPECT_EQ(variant.displayName(), base.displayName());
-  ASSERT_TRUE(base.capabilities().usesProfileCache);
-  SolverCapabilities expected = base.capabilities();
-  expected.usesProfileCache = false;
-  expectSameCapabilities(variant.capabilities(), expected);
 }
 
 TEST(ServingVariant, NoLpWarmDropsOnlyTheWarmStartCapability) {
@@ -271,11 +230,11 @@ TEST(ServingVariant, NoLpWarmDropsOnlyTheWarmStartCapability) {
   expectSameCapabilities(variant.capabilities(), expected);
 }
 
-TEST(ServingVariant, ParallelCachedEvalKeepsCapabilities) {
+TEST(ServingVariant, ParallelEvalKeepsCapabilities) {
   const SolverRegistry& registry = SolverRegistry::instance();
   const Solver& base = registry.resolve("approx");
   const Solver& variant = registry.resolve(testing::servingVariant(
-      "approx", testing::ServingVariant::kParallelCachedEval));
+      "approx", testing::ServingVariant::kParallelEval));
   EXPECT_EQ(variant.name(), "approx/parallel-eval");
   EXPECT_EQ(variant.displayName(), base.displayName());
   expectSameCapabilities(variant.capabilities(), base.capabilities());
@@ -284,10 +243,10 @@ TEST(ServingVariant, ParallelCachedEvalKeepsCapabilities) {
 TEST(ServingVariant, RegistrationIsIdempotent) {
   SolverRegistry& registry = SolverRegistry::instance();
   const std::string name =
-      testing::servingVariant("edf3", testing::ServingVariant::kNoCache);
+      testing::servingVariant("edf3", testing::ServingVariant::kNoLpWarm);
   const std::size_t registered = registry.solvers().size();
   const Solver* solver = &registry.resolve(name);
-  EXPECT_EQ(testing::servingVariant("edf3", testing::ServingVariant::kNoCache),
+  EXPECT_EQ(testing::servingVariant("edf3", testing::ServingVariant::kNoLpWarm),
             name);
   EXPECT_EQ(registry.solvers().size(), registered);
   EXPECT_EQ(&registry.resolve(name), solver);
@@ -295,12 +254,11 @@ TEST(ServingVariant, RegistrationIsIdempotent) {
 
 TEST(ServingVariant, SolvesMatchTheirBase) {
   // Each variant changes only work, never an answer: a base and its variant,
-  // each carrying its own cache and warm slot across the corpus the way
-  // serving carries them across epochs, agree bit for bit on every case.
+  // each carrying its own warm slot across the corpus the way serving
+  // carries it across epochs, agree bit for bit on every case.
   const SolverRegistry& registry = SolverRegistry::instance();
   const std::pair<const char*, testing::ServingVariant> variants[] = {
-      {"approx", testing::ServingVariant::kNoCache},
-      {"approx", testing::ServingVariant::kParallelCachedEval},
+      {"approx", testing::ServingVariant::kParallelEval},
       {"mip-warm", testing::ServingVariant::kNoLpWarm},
   };
   for (const auto& [baseName, kind] : variants) {
@@ -308,15 +266,11 @@ TEST(ServingVariant, SolvesMatchTheirBase) {
     const Solver& variant =
         registry.resolve(testing::servingVariant(baseName, kind));
     SCOPED_TRACE(variant.name());
-    ProfileCache baseCache;
-    ProfileCache variantCache;
     LpWarmStartSlot baseSlot;
     LpWarmStartSlot variantSlot;
     SolveContext baseContext = limitedContext();
-    baseContext.frOpt.sharedCache = &baseCache;
     baseContext.lpWarm = &baseSlot;
     SolveContext variantContext = limitedContext();
-    variantContext.frOpt.sharedCache = &variantCache;
     variantContext.lpWarm = &variantSlot;
     for (int caseIdx : corpusCasesFor(base)) {
       const Instance inst = corpusInstance(kSeed, caseIdx);

@@ -275,6 +275,38 @@ TEST(ScheduleIo, RejectsBadIndices) {
                "line 3: 'assign' after 'end' (line 2)");
 }
 
+TEST(ScheduleIo, NegativeDurationNamesItsLine) {
+  // A negative duration on an assigned task is rejected at its `assign`
+  // line without check-macro text, through a stream and through a file.
+  // Rounding noise within the schedule's slack and any duration of an
+  // unassigned task (machine -1) are accepted as before.
+  const Instance inst = tinyInstance();
+  std::stringstream in(
+      "dsct-schedule v1\nassign 1 0 0.5\nassign 0 0 -1\nend\n");
+  try {
+    io::readSchedule(in, inst);
+    ADD_FAILURE() << "accepted a negative duration";
+  } catch (const CheckError& e) {
+    EXPECT_EQ(std::string(e.what()), "line 3: negative duration");
+  }
+  const std::string path = ::testing::TempDir() + "/io_negative_sched.txt";
+  {
+    std::ofstream out(path);
+    out << "dsct-schedule v1\nassign 0 1 -0.25\nend\n";
+  }
+  try {
+    io::readScheduleFile(path, inst);
+    ADD_FAILURE() << "accepted " << path;
+  } catch (const CheckError& e) {
+    EXPECT_EQ(std::string(e.what()), path + ": line 2: negative duration");
+  }
+  std::stringstream noise(
+      "dsct-schedule v1\nassign 0 0 -1e-12\nassign 1 -1 -3\nend\n");
+  const IntegralSchedule accepted = io::readSchedule(noise, inst);
+  EXPECT_EQ(accepted.machineOf(0), 0);
+  EXPECT_EQ(accepted.machineOf(1), -1);
+}
+
 TEST(ScheduleIo, FullPipelineThroughFiles) {
   // Solve, persist, reload, validate: the tool workflow.
   const std::string dir = ::testing::TempDir();

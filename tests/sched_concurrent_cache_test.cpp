@@ -1,17 +1,18 @@
-// Differential harness for the concurrency-safe cross-solve ProfileCache
-// (the bit-identity contract): the same FR-OPT solve run serial and pooled
-// (workers read the shared cache concurrently) must produce bitwise-equal
-// schedules, objectives, and cache contents. Plus a seeded stress test that
-// oversubscribes the pool (16 workers on however few cores the host has) and
-// checks the hammered cache against a serial replay.
-#include <atomic>
+// Differential harness for the evaluator's pooled batch mode (the
+// bit-identity contract): the same FR-OPT solve run serial and pooled must
+// produce bitwise-equal schedules, objectives, and work counters; a batch
+// evaluated serially and on a pool must return bitwise-equal answers and
+// leave equal memos, with intra-batch duplicate keys each evaluated fresh.
+// Plus a seeded stress test that oversubscribes the pool (16 workers on
+// however few cores the host has) calling the thread-safe evaluate()
+// concurrently and checks every answer against a serial replay.
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "sched/fr_opt.h"
-#include "sched/profile_cache.h"
 #include "sched/profile_evaluator.h"
 #include "tests/test_support.h"
 #include "util/rng.h"
@@ -35,75 +36,37 @@ void expectBitIdentical(const FrOptResult& a, const FrOptResult& b) {
   }
 }
 
-TEST(ConcurrentCacheDifferential, PooledSharedCacheBitIdenticalAcrossCorpus) {
-  // Serial and pooled runs (twice) over the seeded five-regime corpus, each
-  // feeding its own fresh cache; pooled workers read the shared cache
-  // concurrently. Everything observable must match —
-  // including the caches' sizes, digests, and hit/miss/invalidation
-  // counters. Only the contention counter may differ (it measures lock
-  // timing, not content).
+TEST(ConcurrentCacheDifferential, PooledSolveBitIdenticalAcrossCorpus) {
+  // Serial and pooled runs (twice) over the seeded five-regime corpus.
+  // Everything observable must match, including the evaluation and memo
+  // counters: pooling changes where an evaluation runs, never which ones.
   ThreadPool pool(8);
   for (int c = 0; c < 3 * testing::kCorpusRegimes; ++c) {
     SCOPED_TRACE("corpus case " + std::to_string(c));
     const Instance inst = testing::corpusInstance(77, c);
 
-    ProfileCache serialCache;
-    FrOptOptions serialOpts;
-    serialOpts.sharedCache = &serialCache;
-    const FrOptResult serial = solveFrOpt(inst, serialOpts);
-
-    ProfileCache pooledCache;
+    const FrOptResult serial = solveFrOpt(inst, FrOptOptions{});
     FrOptOptions pooledOpts;
-    pooledOpts.sharedCache = &pooledCache;
     pooledOpts.pool = &pool;
     const FrOptResult pooled = solveFrOpt(inst, pooledOpts);
-
-    ProfileCache parallelCache;
-    FrOptOptions parallelOpts;
-    parallelOpts.sharedCache = &parallelCache;
-    parallelOpts.pool = &pool;
-    const FrOptResult parallel = solveFrOpt(inst, parallelOpts);
+    const FrOptResult again = solveFrOpt(inst, pooledOpts);
 
     expectBitIdentical(serial, pooled);
-    expectBitIdentical(serial, parallel);
-
-    EXPECT_EQ(serialCache.size(), pooledCache.size());
-    EXPECT_EQ(serialCache.size(), parallelCache.size());
-    EXPECT_EQ(serialCache.contentDigest(), pooledCache.contentDigest());
-    EXPECT_EQ(serialCache.contentDigest(), parallelCache.contentDigest());
-
-    const ProfileCacheCounters sc = serialCache.counters();
-    const ProfileCacheCounters pc = parallelCache.counters();
-    EXPECT_EQ(sc.hits, pc.hits);
-    EXPECT_EQ(sc.misses, pc.misses);
-    EXPECT_EQ(sc.invalidations, pc.invalidations);
-    EXPECT_EQ(parallel.counters.crossShards,
-              static_cast<long long>(parallelCache.shardCount()));
+    expectBitIdentical(serial, again);
+    for (const FrOptResult* other : {&pooled, &again}) {
+      EXPECT_EQ(serial.counters.evaluations, other->counters.evaluations);
+      EXPECT_EQ(serial.counters.cacheHits, other->counters.cacheHits);
+      EXPECT_EQ(serial.counters.scheduleSolves,
+                other->counters.scheduleSolves);
+    }
   }
-}
-
-TEST(ConcurrentCacheDifferential, CrossSolveReuseUnderParallelMode) {
-  // Warm re-solve through the same cache on a pool: still
-  // bit-identical, but it reuses earlier answers instead of recomputing.
-  ThreadPool pool(8);
-  const Instance inst = testing::corpusInstance(512, 7);
-  ProfileCache cache;
-  FrOptOptions opts;
-  opts.sharedCache = &cache;
-  opts.pool = &pool;
-
-  const FrOptResult cold = solveFrOpt(inst, opts);
-  const FrOptResult warm = solveFrOpt(inst, opts);
-  expectBitIdentical(cold, warm);
-  EXPECT_GT(warm.counters.crossHits, 0);
-  EXPECT_LT(warm.counters.evaluations, cold.counters.evaluations);
 }
 
 TEST(ConcurrentCacheDifferential, EvaluateBatchParallelModeMatchesSerial) {
   // Direct evaluator-level check, away from FR-OPT's control flow: a batch
   // with deliberate exact duplicates, evaluated serially and on a pool
-  // through fresh caches, must return bitwise-equal vectors and
-  // leave bitwise-equal caches — cold and warm.
+  // through fresh evaluators, must return bitwise-equal vectors after the
+  // same number of evaluations — cold, and again warm from the memo.
   const Instance inst = testing::goldenMidSizeInstance();
   ThreadPool pool(16);
   Rng rng(313);
@@ -118,124 +81,92 @@ TEST(ConcurrentCacheDifferential, EvaluateBatchParallelModeMatchesSerial) {
     }
   }
 
-  ProfileCache serialCache;
-  ProfileCache parallelCache;
-  std::vector<double> serialCold;
-  std::vector<double> parallelCold;
-  {
-    ProfileEvaluator serialEval(inst, &serialCache);
-    serialCold = serialEval.evaluateBatch(profiles, nullptr);
-    ProfileEvaluator parallelEval(inst, &parallelCache);
-    parallelCold = parallelEval.evaluateBatch(profiles, &pool);
-  }
+  ProfileEvaluator serialEval(inst);
+  ProfileEvaluator parallelEval(inst);
+  const std::vector<double> serialCold =
+      serialEval.evaluateBatch(profiles, nullptr);
+  const std::vector<double> parallelCold =
+      parallelEval.evaluateBatch(profiles, &pool);
   EXPECT_EQ(serialCold, parallelCold);
-  EXPECT_EQ(serialCache.size(), parallelCache.size());
-  EXPECT_EQ(serialCache.contentDigest(), parallelCache.contentDigest());
-
-  // Warm pass through fresh evaluators (empty local memos, full shared
-  // caches): identical answers again, and no new cache entries.
-  const std::uint64_t digestBefore = parallelCache.contentDigest();
-  ProfileEvaluator serialWarm(inst, &serialCache);
-  ProfileEvaluator parallelWarm(inst, &parallelCache);
-  EXPECT_EQ(serialWarm.evaluateBatch(profiles, nullptr), serialCold);
-  EXPECT_EQ(parallelWarm.evaluateBatch(profiles, &pool), parallelCold);
-  EXPECT_EQ(parallelCache.contentDigest(), digestBefore);
-}
-
-TEST(ConcurrentCacheDifferential, PooledBatchResolvesFromSharedCache) {
-  // A pooled batch through a fresh evaluator (empty local memo) over a full
-  // shared cache: every index is resolved by a worker-side shared-cache
-  // lookup, so nothing is evaluated, nothing is stored, and the answers
-  // equal the serial fill's bit for bit.
-  const Instance inst = testing::goldenMidSizeInstance();
-  ThreadPool pool(8);
-  Rng rng(317);
-  std::vector<EnergyProfile> profiles;
-  for (int i = 0; i < 64; ++i) {
-    profiles.push_back(
-        EnergyProfile{rng.uniform(0.0, 50.0), rng.uniform(0.0, 50.0)});
-  }
-  ProfileCache cache;
-  ProfileEvaluator filler(inst, &cache);
-  const std::vector<double> serial = filler.evaluateBatch(profiles, nullptr);
-  const std::size_t sizeBefore = cache.size();
-  const std::uint64_t digestBefore = cache.contentDigest();
-  const ProfileCacheCounters before = cache.counters();
-
-  ProfileEvaluator pooled(inst, &cache);
-  EXPECT_EQ(pooled.evaluateBatch(profiles, &pool), serial);
-  EXPECT_EQ(pooled.counters().evaluations, 0);
-  const ProfileCacheCounters after = cache.counters();
-  EXPECT_EQ(after.hits - before.hits,
+  // Duplicates inside one batch are all misses: every index evaluates.
+  EXPECT_EQ(serialEval.counters().evaluations,
             static_cast<long long>(profiles.size()));
-  EXPECT_EQ(after.misses, before.misses);
-  EXPECT_EQ(cache.size(), sizeBefore);
-  EXPECT_EQ(cache.contentDigest(), digestBefore);
+  EXPECT_EQ(parallelEval.counters().evaluations,
+            serialEval.counters().evaluations);
+
+  // Warm pass through the same evaluators: identical answers again, all of
+  // them from the memo.
+  EXPECT_EQ(serialEval.evaluateBatch(profiles, nullptr), serialCold);
+  EXPECT_EQ(parallelEval.evaluateBatch(profiles, &pool), parallelCold);
+  for (const ProfileEvaluator* eval : {&serialEval, &parallelEval}) {
+    const EvaluatorCounters counters = eval->counters();
+    EXPECT_EQ(counters.evaluations, static_cast<long long>(profiles.size()));
+    EXPECT_EQ(counters.cacheHits, static_cast<long long>(profiles.size()));
+  }
 }
 
-TEST(ConcurrentCacheStress, SeededOversubscribedHammerMatchesSerialReplay) {
-  // 16 logical hammer tasks on whatever core count the host has (a single
-  // core in CI — maximal oversubscription) mixing lookups and stores over a
-  // small shared key space. Values are a pure function of the key, so every
-  // hit can be checked in-flight; afterwards a serial replay of the same
-  // seeded sequences must reproduce the cache contents exactly
-  // (first-store-wins makes the final contents order-independent).
+TEST(ConcurrentCacheDifferential, BatchDuplicateKeysEachEvaluateFresh) {
+  // Two profiles one ulp apart share a quantised memo key. A batch over
+  // {p1, p2} defers its memo inserts past the whole batch, so p2 is
+  // evaluated fresh rather than served p1's answer; the index-ordered
+  // commit then memoises p1's value under the shared key.
+  const Instance inst = testing::tinyInstance(50.0);
+  const EnergyProfile p1{0.7, 0.4};
+  EnergyProfile p2 = p1;
+  p2[0] = std::nextafter(p2[0], 1.0);
+  const std::vector<EnergyProfile> profiles{p1, p2};
+
+  ThreadPool pool(2);
+  for (ThreadPool* batchPool : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    ProfileEvaluator evaluator(inst);
+    const std::vector<double> out = evaluator.evaluateBatch(profiles,
+                                                            batchPool);
+    ASSERT_EQ(out.size(), 2u);
+    EXPECT_EQ(out[0], evaluator.evaluate(p1));
+    EXPECT_EQ(out[1], evaluator.evaluate(p2));
+    EXPECT_EQ(evaluator.counters().cacheHits, 0);
+    EXPECT_EQ(evaluator.cached(p2), out[0]);
+    EXPECT_EQ(evaluator.counters().cacheHits, 1);
+  }
+}
+
+TEST(ConcurrentEvaluateStress, OversubscribedEvaluateMatchesSerialReplay) {
+  // 16 logical tasks on a 16-worker pool (maximal oversubscription on a
+  // small host) each call the thread-safe evaluate() on their own seeded
+  // profile sequence through one shared evaluator. Every answer must equal
+  // the serial replay's bit for bit, and the evaluation counter must count
+  // every call exactly once.
   constexpr int kTasks = 16;
-  constexpr int kOpsPerTask = 4000;
-  constexpr int kKeySpace = 97;
-  const auto profileFor = [](int key) {
-    return EnergyProfile{static_cast<double>(key), 0.5};
-  };
-  const auto valueFor = [](int key) {
-    return static_cast<double>(key) * 1.25 + 0.125;
-  };
-  const auto fingerprintFor = [](int key) {
-    return static_cast<std::uint64_t>(1000 + key);
+  constexpr int kOpsPerTask = 40;
+  const Instance inst = testing::goldenMidSizeInstance();
+  const auto profileFor = [](Rng& rng) {
+    return EnergyProfile{rng.uniform(0.0, 50.0), rng.uniform(0.0, 50.0)};
   };
 
-  ProfileCache hammered(1 << 20, 8);
-  std::atomic<long long> lookups{0};
+  ProfileEvaluator shared(inst);
+  std::vector<std::vector<double>> concurrent(kTasks);
   {
     ThreadPool pool(16);
     pool.parallelFor(kTasks, [&](std::size_t t) {
       Rng rng(deriveSeed(909, static_cast<std::uint64_t>(t)));
       for (int op = 0; op < kOpsPerTask; ++op) {
-        const int key = rng.uniformInt(0, kKeySpace - 1);
-        if (rng.bernoulli(0.5)) {
-          lookups.fetch_add(1, std::memory_order_relaxed);
-          const auto hit = hammered.lookup(fingerprintFor(key), profileFor(key));
-          if (hit.has_value()) {
-            EXPECT_EQ(*hit, valueFor(key)) << "key " << key;
-          }
-        } else {
-          hammered.store(fingerprintFor(key), profileFor(key), valueFor(key));
-        }
+        concurrent[t].push_back(shared.evaluate(profileFor(rng)));
       }
     });
   }
+  EXPECT_EQ(shared.counters().evaluations,
+            static_cast<long long>(kTasks) * kOpsPerTask);
 
-  // Serial replay of every task's sequence (stores only) into a
-  // single-shard reference cache: same size, same content digest.
-  ProfileCache reference(1 << 20, 1);
-  long long replayedLookups = 0;
+  ProfileEvaluator reference(inst);
   for (int t = 0; t < kTasks; ++t) {
     Rng rng(deriveSeed(909, static_cast<std::uint64_t>(t)));
     for (int op = 0; op < kOpsPerTask; ++op) {
-      const int key = rng.uniformInt(0, kKeySpace - 1);
-      if (rng.bernoulli(0.5)) {
-        ++replayedLookups;
-      } else {
-        reference.store(fingerprintFor(key), profileFor(key), valueFor(key));
-      }
+      EXPECT_EQ(concurrent[static_cast<std::size_t>(t)]
+                          [static_cast<std::size_t>(op)],
+                reference.evaluate(profileFor(rng)))
+          << "task " << t << " op " << op;
     }
   }
-  EXPECT_EQ(hammered.size(), reference.size());
-  EXPECT_EQ(hammered.contentDigest(), reference.contentDigest());
-
-  const ProfileCacheCounters counters = hammered.counters();
-  EXPECT_EQ(counters.hits + counters.misses, lookups.load());
-  EXPECT_EQ(lookups.load(), replayedLookups);
-  EXPECT_EQ(counters.invalidations, 0);  // key space far below capacity
 }
 
 }  // namespace

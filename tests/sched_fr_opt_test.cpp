@@ -189,6 +189,24 @@ TEST(FrOpt, ReportsCounters) {
   EXPECT_GT(res.counters.evaluations, res.counters.scheduleSolves);
 }
 
+TEST(FrOpt, RepeatSolveStartsFromAnEmptyMemo) {
+  // Nothing is carried between solves: solving the same instance again
+  // repeats the same evaluations and memo hits, and the cross-solve
+  // counters stay 0.
+  const Instance inst = randomInstance(23, 14, 3, 0.3, 0.4);
+  const FrOptResult first = solveFrOpt(inst, FrOptOptions{});
+  const FrOptResult second = solveFrOpt(inst, FrOptOptions{});
+  EXPECT_GT(first.counters.evaluations, 0);
+  EXPECT_EQ(second.counters.evaluations, first.counters.evaluations);
+  EXPECT_EQ(second.counters.cacheHits, first.counters.cacheHits);
+  EXPECT_EQ(second.totalAccuracy, first.totalAccuracy);
+  EXPECT_EQ(second.energy, first.energy);
+  for (const FrOptResult* res : {&first, &second}) {
+    EXPECT_EQ(res->counters.crossHits, 0);
+    EXPECT_EQ(res->counters.crossMisses, 0);
+  }
+}
+
 TEST(FrOpt, ParallelMatchesSerialBitwise) {
   // The fan-out only distributes pure evaluations and every reduction is
   // index-ordered, so the parallel solve must reproduce the serial one to

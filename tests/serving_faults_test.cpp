@@ -194,6 +194,45 @@ TEST(ServingOptionsCheck, RejectsInvalidEntryOptions) {
                                   sim::PowerTrace::constant(50.0)));
 }
 
+TEST(ServingOptionsCheck, EntryErrorsCarryNoCheckMacroText) {
+  // Entry options are user input: the error is the message alone, with no
+  // `check failed` prefix and no source location.
+  const auto machines = machinesFromCatalog({"T4"});
+  const auto expectPlain = [&](const sim::ServingOptions& options,
+                               const std::string& policy,
+                               const std::string& field) {
+    SCOPED_TRACE(field);
+    try {
+      sim::runServing(machines, policy, options);
+      ADD_FAILURE() << field << " accepted";
+    } catch (const CheckError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(field), std::string::npos) << what;
+      EXPECT_EQ(what.find("check failed"), std::string::npos) << what;
+      EXPECT_EQ(what.find(".cpp"), std::string::npos) << what;
+    }
+  };
+  sim::ServingOptions options;
+  options.horizonSeconds = -5.0;
+  expectPlain(options, "edf3", "horizonSeconds");
+  options = {};
+  options.epochSeconds = 0.0;
+  expectPlain(options, "edf3", "epochSeconds");
+  options = {};
+  options.shards = -3;
+  expectPlain(options, "edf3", "shards");
+  options = {};
+  options.energyBudgetPerEpoch = std::nan("");
+  expectPlain(options, "edf3", "energyBudgetPerEpoch");
+  options = {};
+  options.admissionLoadFactor = -1.0;
+  expectPlain(options, "edf3", "admissionLoadFactor");
+  options = {};
+  options.arrivalRatePerSecond = -3.0;
+  expectPlain(options, "edf3", "arrivalRatePerSecond");
+  expectPlain(sim::ServingOptions{}, "fr-opt", "integral");
+}
+
 TEST(ServingOptionsCheck, PowerTraceOverloadChecksEntryOptions) {
   // The supply overload shares the horizon and shard checks; only the fixed
   // per-epoch budget is out of its scope.

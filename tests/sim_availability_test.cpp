@@ -2,10 +2,14 @@
 // granularity, loud option validation, and the battery store.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "sim/availability.h"
+#include "sim/faults.h"
 #include "util/check.h"
+#include "util/rng.h"
 
 namespace dsct {
 namespace {
@@ -116,6 +120,61 @@ TEST(AvailabilityTrace, OptionValidationRejectsEachBadField) {
     o.rechargeWatts = -2.0;
     EXPECT_THROW(generate(o), CheckError);
   }
+}
+
+TEST(AvailabilityTrace, OptionErrorsNameTheFieldWithoutCheckText) {
+  // Availability options come from the user: the error names the field and
+  // carries no `check failed` prefix or source location.
+  const auto expectPlain = [](const sim::AvailabilityOptions& o,
+                              const std::string& field) {
+    SCOPED_TRACE(field);
+    try {
+      sim::AvailabilityTrace::generate(2, 10.0, 20, 0.5, o);
+      ADD_FAILURE() << field << " accepted";
+    } catch (const CheckError& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind(field, 0), 0u) << what;
+      EXPECT_EQ(what.find("check failed"), std::string::npos) << what;
+      EXPECT_EQ(what.find(".cpp"), std::string::npos) << what;
+    }
+  };
+  auto o = departingOptions();
+  o.departMtbfSeconds = -1.0;
+  expectPlain(o, "departMtbfSeconds");
+  o = departingOptions();
+  o.batteryCapacityJoules = 10.0;
+  o.batteryInitialFraction = 2.0;
+  expectPlain(o, "batteryInitialFraction");
+  o = departingOptions();
+  o.rechargeWatts = -1.0;
+  expectPlain(o, "rechargeWatts");
+}
+
+TEST(AvailabilityTrace, DeparturesAreRenewalWindowsSnappedToEpochs) {
+  // Machine m is away for epoch e exactly when one of its renewal windows
+  // (seeded per machine) covers the epoch's start.
+  const auto options = departingOptions();
+  const double horizon = 20.0;
+  const double epoch = 0.5;
+  const long long epochs = 40;
+  const auto trace =
+      sim::AvailabilityTrace::generate(3, horizon, epochs, epoch, options);
+  int absences = 0;
+  for (int m = 0; m < 3; ++m) {
+    const auto windows = sim::sampleRenewalWindows(
+        options.departMtbfSeconds, options.departMeanSeconds, horizon,
+        deriveSeed(options.seed, static_cast<std::uint64_t>(m)));
+    for (long long e = 0; e < epochs; ++e) {
+      const double start = static_cast<double>(e) * epoch;
+      bool covered = false;
+      for (const auto& w : windows) {
+        covered = covered || (start >= w.start && start < w.end);
+      }
+      EXPECT_EQ(trace.presentInEpoch(m, e), !covered) << m << " " << e;
+      if (covered) ++absences;
+    }
+  }
+  EXPECT_GT(absences, 0);
 }
 
 // --------------------------------------------------------- BatteryModel ---

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "sched/approx.h"
 #include "sim/cluster.h"
@@ -177,6 +180,78 @@ TEST(FaultTrace, GenerateValidatesEachOptionFieldLoudly) {
   }
 }
 
+TEST(FaultTrace, OptionErrorsNameTheFieldWithoutCheckText) {
+  // Fault options come from the user: the error names the field and carries
+  // no `check failed` prefix or source location.
+  sim::FaultOptions good;
+  good.enabled = true;
+  good.mtbfSeconds = 3.0;
+  good.mttrSeconds = 1.0;
+  const auto expectPlain = [](const sim::FaultOptions& o,
+                              const std::string& field) {
+    SCOPED_TRACE(field);
+    try {
+      sim::FaultTrace::generate(2, 10.0, 20, o);
+      ADD_FAILURE() << field << " accepted";
+    } catch (const CheckError& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind(field, 0), 0u) << what;
+      EXPECT_EQ(what.find("check failed"), std::string::npos) << what;
+      EXPECT_EQ(what.find(".cpp"), std::string::npos) << what;
+    }
+  };
+  auto o = good;
+  o.mtbfSeconds = -1.0;
+  expectPlain(o, "mtbfSeconds");
+  o = good;
+  o.slowdownFactor = 5.0;
+  expectPlain(o, "slowdownFactor");
+  o = good;
+  o.maxRetries = -1;
+  expectPlain(o, "maxRetries");
+  o = good;
+  o.budgetShockProbability = 1.5;
+  expectPlain(o, "budgetShockProbability");
+}
+
+// ------------------------------------------------------ renewal sampler ---
+
+TEST(RenewalWindows, SortedDisjointClippedAndSeedStable) {
+  // The one sampler behind crashes, stragglers and departures: windows are
+  // sorted, disjoint, inside [0, horizon), and a pure function of the seed.
+  const auto starts = [](const std::vector<sim::FaultInterval>& windows) {
+    std::vector<double> out;
+    for (const auto& w : windows) out.push_back(w.start);
+    return out;
+  };
+  const auto a = sim::sampleRenewalWindows(2.0, 0.5, 40.0, 17);
+  const auto again = sim::sampleRenewalWindows(2.0, 0.5, 40.0, 17);
+  EXPECT_EQ(starts(a), starts(again));
+  ASSERT_EQ(a.size(), again.size());
+  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i].end, again[i].end);
+  EXPECT_NE(starts(a), starts(sim::sampleRenewalWindows(2.0, 0.5, 40.0, 18)));
+  ASSERT_GT(a.size(), 3u);  // mean cycle 2.5 s over 40 s
+  double prevEnd = 0.0;
+  for (const auto& w : a) {
+    EXPECT_GT(w.start, prevEnd);  // each window follows an up-time > 0
+    EXPECT_GT(w.end, w.start);
+    EXPECT_LE(w.end, 40.0);
+    prevEnd = w.end;
+  }
+  EXPECT_LT(a.back().start, 40.0);
+  // A shorter horizon keeps the same draws: a prefix, the last clipped.
+  const auto cut = sim::sampleRenewalWindows(2.0, 0.5, a[2].end, 17);
+  ASSERT_EQ(cut.size(), 3u);
+  for (std::size_t i = 0; i < cut.size(); ++i) {
+    EXPECT_EQ(cut[i].start, a[i].start);
+    EXPECT_EQ(cut[i].end, a[i].end);
+  }
+  // A non-positive mean or horizon disables the process.
+  EXPECT_TRUE(sim::sampleRenewalWindows(0.0, 0.5, 40.0, 17).empty());
+  EXPECT_TRUE(sim::sampleRenewalWindows(2.0, 0.0, 40.0, 17).empty());
+  EXPECT_TRUE(sim::sampleRenewalWindows(2.0, 0.5, 0.0, 17).empty());
+}
+
 TEST(FaultTrace, InjectedPolicyFailures) {
   const sim::FaultTrace trace({{}}, {{}}, 1.0, {}, {7, 2}, 1);
   EXPECT_TRUE(trace.policyFailureInjected(2));
@@ -196,6 +271,93 @@ TEST(FaultExecution, InactiveContextMatchesPlainExecution) {
   EXPECT_DOUBLE_EQ(plain.totalAccuracy, viaCtx.totalAccuracy);
   EXPECT_EQ(plain.deadlineMisses, viaCtx.deadlineMisses);
   EXPECT_EQ(viaCtx.interruptions, 0);
+}
+
+/// Every observable of two executions agrees bit for bit.
+void expectSameExecution(const sim::ExecutionResult& a,
+                         const sim::ExecutionResult& b) {
+  ASSERT_EQ(a.executions.size(), b.executions.size());
+  for (std::size_t j = 0; j < a.executions.size(); ++j) {
+    SCOPED_TRACE(j);
+    const sim::TaskExecution& x = a.executions[j];
+    const sim::TaskExecution& y = b.executions[j];
+    EXPECT_EQ(x.machine, y.machine);
+    EXPECT_EQ(x.start, y.start);
+    EXPECT_EQ(x.finish, y.finish);
+    EXPECT_EQ(x.flops, y.flops);
+    EXPECT_EQ(x.accuracy, y.accuracy);
+    EXPECT_EQ(x.executed, y.executed);
+    EXPECT_EQ(x.deadlineMet, y.deadlineMet);
+    EXPECT_EQ(x.interrupted, y.interrupted);
+  }
+  EXPECT_EQ(a.machineBusySeconds, b.machineBusySeconds);
+  EXPECT_EQ(a.totalEnergy, b.totalEnergy);
+  EXPECT_EQ(a.makespan, b.makespan);
+  EXPECT_EQ(a.totalAccuracy, b.totalAccuracy);
+  EXPECT_EQ(a.deadlineMisses, b.deadlineMisses);
+  EXPECT_EQ(a.interruptions, b.interruptions);
+  ASSERT_EQ(a.trace.size(), b.trace.size());
+  for (std::size_t i = 0; i < a.trace.size(); ++i) {
+    const sim::TraceEvent& x = a.trace.events()[i];
+    const sim::TraceEvent& y = b.trace.events()[i];
+    EXPECT_EQ(x.time, y.time);
+    EXPECT_EQ(x.kind, y.kind);
+    EXPECT_EQ(x.task, y.task);
+    EXPECT_EQ(x.flops, y.flops);
+    EXPECT_EQ(x.energy, y.energy);
+  }
+}
+
+/// Crashes, straggler windows and energy cuts that all start long after
+/// every schedule in these tests has finished.
+struct LateFaults {
+  static constexpr double kLate = 1e6;
+  sim::FaultTrace trace{{{{kLate, kLate + 1.0}}, {{kLate, kLate + 2.0}},
+                         {{kLate + 3.0, kLate + 4.0}}},
+                        {{{kLate, 2 * kLate}}, {}, {{kLate, kLate + 5.0}}},
+                        0.5,
+                        {},
+                        {},
+                        3};
+  sim::FaultContext context() const {
+    sim::FaultContext ctx;
+    ctx.trace = &trace;
+    ctx.machineMap = {2, 0, 1};
+    ctx.energyCutSeconds = {kLate, kInf, kLate};
+    return ctx;
+  }
+};
+
+TEST(FaultExecution, NonBindingFaultsMatchPlainExecutionBitForBit) {
+  // One timeline walk serves faulty and fault-free runs: faults that never
+  // bind leave every start, finish, FLOP count and joule unchanged.
+  const LateFaults late;
+  for (const std::uint64_t seed : {77u, 78u, 79u}) {
+    SCOPED_TRACE(seed);
+    const Instance inst = randomInstance(seed, 12, 3);
+    const IntegralSchedule s = solveApprox(inst).schedule;
+    const auto plain = sim::executeSchedule(inst, s);
+    ASSERT_LT(plain.makespan, LateFaults::kLate);
+    ASSERT_GT(plain.totalEnergy, 0.0);
+    expectSameExecution(
+        plain, sim::executeSchedule(inst, s, sim::CommModel{}, late.context()));
+  }
+}
+
+TEST(FaultExecution, NonBindingFaultsComposeWithCommModel) {
+  // Transfers shift starts and add energy the same way with or without a
+  // fault context that never binds.
+  const LateFaults late;
+  const Instance inst = randomInstance(91, 12, 3);
+  const IntegralSchedule s = solveApprox(inst).schedule;
+  sim::CommModel comm;
+  comm.taskBytes.assign(static_cast<std::size_t>(inst.numTasks()), 2e6);
+  comm.joulesPerByte = 1e-7;
+  comm.bytesPerSecond = 1e8;
+  const auto withComm = sim::executeSchedule(inst, s, comm);
+  ASSERT_GT(withComm.totalEnergy, sim::executeSchedule(inst, s).totalEnergy);
+  expectSameExecution(withComm,
+                      sim::executeSchedule(inst, s, comm, late.context()));
 }
 
 TEST(FaultExecution, CrashCutsRunningTaskAndDropsRest) {

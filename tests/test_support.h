@@ -149,15 +149,14 @@ inline Instance goldenMidSizeInstance() {
 }
 
 // --- Serving variants --------------------------------------------------------
-// Serving attaches the cross-epoch ProfileCache and LP warm-start slot that a
-// solver's capabilities ask for, and never evaluates in parallel. Each of
-// those choices is pinned bit-identical against its alternative; a variant
-// solver is how a test serves the alternative side.
+// Serving attaches the cross-epoch LP warm-start slot that a solver's
+// capabilities ask for, and never evaluates in parallel. Each of those
+// choices is pinned bit-identical against its alternative; a variant solver
+// is how a test serves the alternative side.
 
 enum class ServingVariant {
-  kNoCache,             ///< no cross-epoch ProfileCache
-  kNoLpWarm,            ///< no cross-epoch LP warm-start slot
-  kParallelCachedEval,  ///< pooled evaluation on an 8-thread pool
+  kNoLpWarm,      ///< no cross-epoch LP warm-start slot
+  kParallelEval,  ///< pooled evaluation on an 8-thread pool
 };
 
 /// Registers, on first use, a test-only variant of the registry solver
@@ -167,27 +166,22 @@ enum class ServingVariant {
 /// edits the SolveContext it hands to `base`.
 inline std::string servingVariant(const std::string& base,
                                   ServingVariant variant) {
-  static const char* const kSuffix[] = {"uncached", "cold-lp",
-                                        "parallel-eval"};
+  static const char* const kSuffix[] = {"cold-lp", "parallel-eval"};
   const std::string name = base + "/" + kSuffix[static_cast<int>(variant)];
   SolverRegistry& registry = SolverRegistry::instance();
   if (registry.find(name) != nullptr) return name;
   const Solver& inner = registry.resolve(base);
   SolverCapabilities caps = inner.capabilities();
-  if (variant == ServingVariant::kNoCache) caps.usesProfileCache = false;
   if (variant == ServingVariant::kNoLpWarm) caps.usesLpWarmStart = false;
   registry.add(makeSolver(
       name, inner.displayName(), caps,
       [&inner, variant](const Instance& inst, const SolveContext& context) {
         SolveContext ctx = context;
         switch (variant) {
-          case ServingVariant::kNoCache:
-            ctx.frOpt.sharedCache = nullptr;
-            break;
           case ServingVariant::kNoLpWarm:
             ctx.lpWarm = nullptr;
             break;
-          case ServingVariant::kParallelCachedEval: {
+          case ServingVariant::kParallelEval: {
             static ThreadPool pool(8);
             ctx.frOpt.pool = &pool;
             break;

@@ -28,6 +28,22 @@ TEST(Check, ThrowsWithMessage) {
   }
 }
 
+TEST(Check, EnsureThrowsMessageAlone) {
+  // DSCT_ENSURE reports bad user input: the streamed message is the whole
+  // text, without the expression or the source location, and a passing
+  // check never builds it.
+  int built = 0;
+  const auto note = [&built] { return ++built; };
+  DSCT_ENSURE(2 > 1, "never shown " << note());
+  EXPECT_EQ(built, 0);
+  try {
+    DSCT_ENSURE(1 == 2, "rate must be positive, got " << -3);
+    FAIL() << "expected CheckError";
+  } catch (const CheckError& e) {
+    EXPECT_EQ(std::string(e.what()), "rate must be positive, got -3");
+  }
+}
+
 TEST(Rng, Deterministic) {
   Rng a(123), b(123);
   for (int i = 0; i < 100; ++i) {

@@ -1,7 +1,8 @@
-# `dsct_cli serve` entry-option checks: a NaN budget, a non-positive horizon
-# or epoch, a negative shard count and a negative admission load factor each
-# exit 1 with an error naming the field, where they used to run as a
-# plausible-looking serve or die on a bare check.
+# `dsct_cli serve` option checks: a NaN budget, a non-positive horizon or
+# epoch, a negative shard count, load factor or rate, and out-of-range fault
+# and availability options each exit 1 with an error naming the field and
+# without check-macro text, where they used to run as a plausible-looking
+# serve or die on a bare check.
 function(expect_rejected field)
   string(JOIN " " args ${ARGN})
   execute_process(COMMAND ${CLI} serve ${ARGN} RESULT_VARIABLE code
@@ -12,7 +13,9 @@ function(expect_rejected field)
   if(NOT err MATCHES "${field}")
     message(FATAL_ERROR "serve ${args}: error does not name ${field}:\n${err}")
   endif()
-  set(last_err "${err}" PARENT_SCOPE)
+  if(err MATCHES "check failed")
+    message(FATAL_ERROR "serve ${args}: error shows check internals:\n${err}")
+  endif()
 endfunction()
 
 expect_rejected(energyBudgetPerEpoch --horizon 1 --budget nan)
@@ -23,17 +26,24 @@ expect_rejected(shards --horizon 1 --shards -3)
 expect_rejected(epochSeconds --horizon 1 --epoch 0)
 expect_rejected(epochSeconds --horizon 1 --epoch -0.5)
 expect_rejected(admissionLoadFactor --horizon 1 --load-factor -1)
+expect_rejected(arrivalRatePerSecond --horizon 1 --rate -3)
+expect_rejected(machines --horizon 1 --gpus ,)
+expect_rejected("unknown solver 'bogus'" --horizon 1 --faults --fallback bogus)
 
-# A scenario's horizon override is checked before the trace is materialised,
-# and the error carries no check-macro text.
+# Fault-injection options.
+expect_rejected(mtbfSeconds --horizon 1 --faults --mtbf -1)
+expect_rejected(slowdownFactor --horizon 1 --faults --slow-factor 5)
+expect_rejected(maxRetries --horizon 1 --faults --max-retries -1)
+
+# Availability options.
+expect_rejected(departMtbfSeconds --horizon 1 --depart-mtbf -1)
+expect_rejected(batteryInitialFraction --horizon 1 --battery 10 --battery-init 2)
+expect_rejected(rechargeWatts --horizon 1 --avail --recharge -1)
+
+# A scenario's horizon override is checked before the trace is materialised.
 set(diurnal ${SCENARIO_DIR}/diurnal.dsct)
 expect_rejected(horizonSeconds --scenario ${diurnal} --horizon -5)
-set(negative_err "${last_err}")
 expect_rejected(horizonSeconds --scenario ${diurnal} --horizon 0)
-if("${negative_err}${last_err}" MATCHES "check failed")
-  message(FATAL_ERROR "scenario horizon errors show check internals:\n"
-                      "${negative_err}\n${last_err}")
-endif()
 
 # The boundary values stay accepted.
 execute_process(COMMAND ${CLI} serve --horizon 1 --budget 0 --shards 0
